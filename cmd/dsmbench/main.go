@@ -435,6 +435,7 @@ func header(title string) {
 func protocolsTable() {
 	header("Table 2: built-in consistency protocols")
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 1})
+	defer sys.Close()
 	fmt.Printf("%-16s\n", "protocol")
 	for _, name := range sys.ProtocolNames() {
 		fmt.Printf("%-16s\n", name)

@@ -105,6 +105,7 @@
 // an integer):
 //
 //	sys, _ := dsmpm2.New(dsmpm2.Config{Nodes: 4, Protocol: "li_hudak"})
+//	defer sys.Close()
 //	x := sys.MustMalloc(0, 8, nil)
 //	lock := sys.NewLock(0)
 //	for n := 0; n < 4; n++ {
@@ -115,4 +116,9 @@
 //		})
 //	}
 //	sys.Run()
+//
+// Simulated threads run on goroutines the system keeps between Runs (RPC
+// dispatchers park on them for the system's whole life). System.Close
+// retires them once the system is no longer run; results stay readable and
+// Run afterwards returns ErrClosed.
 package dsmpm2

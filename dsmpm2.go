@@ -79,6 +79,9 @@ var EvenClusters = madeleine.EvenClusters
 // name, or common alias ("TCP/Ethernet", "SCI", ...); nil if unknown.
 var ResolveProfile = madeleine.ResolveProfile
 
+// ErrClosed is returned by System.Run after System.Close.
+var ErrClosed = sim.ErrClosed
+
 // The four cluster networks evaluated in the paper.
 var (
 	BIPMyrinet      = madeleine.BIPMyrinet
@@ -373,6 +376,13 @@ func (s *System) Run() error {
 	}
 	return s.rt.Run()
 }
+
+// Close releases the system's simulated-thread goroutines and the memory
+// they keep reachable. Call it from the goroutine that calls Run, once the
+// system is no longer run; results (Stats, Timings, Trace, Fingerprint)
+// stay readable. Close is idempotent, and Run after Close returns
+// ErrClosed.
+func (s *System) Close() { s.rt.Close() }
 
 // Now returns the current virtual time.
 func (s *System) Now() Time { return s.rt.Now() }

@@ -89,6 +89,7 @@ func newHomePush(sys *dsmpm2.System) dsmpm2.ProtoID {
 
 func main() {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Network: dsmpm2.SISCISCI})
+	defer sys.Close()
 	homePush := newHomePush(sys)
 	liHudak, _ := sys.Protocol("li_hudak")
 

@@ -23,6 +23,7 @@ import (
 
 func run(balance bool) (dsmpm2.Time, map[int]int) {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Network: dsmpm2.SISCISCI})
+	defer sys.Close()
 	rt := sys.Runtime()
 	final := map[int]int{}
 	var threads []*dsmpm2.Thread

@@ -40,6 +40,7 @@ func main() {
 			if err := sys.Run(); err != nil {
 				log.Fatal(err)
 			}
+			sys.Close()
 			fmt.Printf("stack %5d B: node %d -> node %d in %v (fault + migration + overhead)\n",
 				stack, before, after, took)
 		}

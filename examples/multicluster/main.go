@@ -32,6 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 
 	// One page per reader, all homed on node 0 in the first cluster, so
 	// each fault is an independent transfer from node 0 to the reader.

@@ -23,6 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close()
 
 	// int x = 34; inside BEGIN_DSM_DATA / END_DSM_DATA.
 	x := sys.MustMalloc(0, 8, nil)

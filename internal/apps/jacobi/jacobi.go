@@ -75,7 +75,7 @@ type Result struct {
 	Checksum float64
 	Elapsed  dsmpm2.Time
 	Stats    dsmpm2.Stats
-	System   *dsmpm2.System
+	System   *dsmpm2.System // closed on return: results stay readable
 	// Faults and Recovery are the fault-injection counters (zero when no
 	// FaultPlan was configured).
 	Faults   dsmpm2.FaultStats
@@ -153,6 +153,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	if cfg.FaultPlan != nil {
 		return runRecoverable(cfg, sys)
 	}

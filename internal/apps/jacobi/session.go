@@ -145,6 +145,10 @@ func NewSession(cfg Config) (*Session, error) {
 // System exposes the session's platform instance.
 func (s *Session) System() *dsmpm2.System { return s.sys }
 
+// Close releases the session's system (see dsmpm2.System.Close). Results
+// and fingerprints stay readable; further steps fail with dsmpm2.ErrClosed.
+func (s *Session) Close() { s.sys.Close() }
+
 // Steps reports the session's total step count: two per work unit.
 func (s *Session) Steps() int { return 2 * s.units }
 

@@ -280,7 +280,7 @@ type Result struct {
 	Checksum uint64
 	Elapsed  dsmpm2.Time
 	Stats    dsmpm2.Stats
-	System   *dsmpm2.System
+	System   *dsmpm2.System // closed on return: results stay readable
 	// Ops summarizes the per-kind latency histograms in sorted kind order
 	// ("get", "put", and "drop" when a deadline is set).
 	Ops []OpSummary
@@ -347,6 +347,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	tr := genTrace(cfg)
 
 	// One page and one bound lock per bucket. The lock is always managed by

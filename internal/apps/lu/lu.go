@@ -46,7 +46,7 @@ type Result struct {
 	Checksum float64
 	Elapsed  dsmpm2.Time
 	Stats    dsmpm2.Stats
-	System   *dsmpm2.System
+	System   *dsmpm2.System // closed on return: results stay readable
 }
 
 // Matrix builds the deterministic random input matrix for a seed. It is
@@ -109,6 +109,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	n := cfg.N
 	rowBytes := n * 8
 	ownerOf := func(row int) int { return row % cfg.Nodes } // round-robin deal

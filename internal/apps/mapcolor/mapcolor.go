@@ -180,7 +180,7 @@ type Result struct {
 	BestCost int
 	Elapsed  dsmpm2.Time
 	Stats    dsmpm2.Stats
-	System   *dsmpm2.System
+	System   *dsmpm2.System // closed on return: results stay readable
 }
 
 // Run executes the distributed branch and bound and returns the result.
@@ -210,6 +210,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	pid, ok := sys.Protocol(cfg.Protocol)
 	if !ok {
 		return Result{}, fmt.Errorf("mapcolor: unknown protocol %q", cfg.Protocol)

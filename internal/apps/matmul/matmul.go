@@ -50,7 +50,7 @@ type Result struct {
 	Checksum float64
 	Elapsed  dsmpm2.Time
 	Stats    dsmpm2.Stats
-	System   *dsmpm2.System
+	System   *dsmpm2.System // closed on return: results stay readable
 }
 
 // Matrices builds the deterministic random input matrices for a seed.
@@ -106,6 +106,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	n := cfg.N
 	rowBytes := n * 8
 

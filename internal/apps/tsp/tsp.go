@@ -47,7 +47,7 @@ type Result struct {
 	Elapsed    dsmpm2.Time
 	Expansions int64
 	Stats      dsmpm2.Stats
-	System     *dsmpm2.System
+	System     *dsmpm2.System // closed on return: results stay readable
 }
 
 // Distances builds the symmetric random distance matrix for a seed.
@@ -155,6 +155,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer sys.Close()
 	dist := Distances(cfg.Cities, cfg.Seed)
 	minOut := minOutgoing(dist)
 	n := cfg.Cities

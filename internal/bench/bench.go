@@ -17,6 +17,7 @@ import (
 // BIP/Myrinet).
 func NullRPC(prof *madeleine.Profile) float64 {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: prof, Seed: 1})
+	defer rt.Close()
 	rt.Node(1).Register("null", false, func(h *pm2.Thread, arg interface{}) interface{} {
 		return nil
 	})
@@ -35,6 +36,7 @@ func NullRPC(prof *madeleine.Profile) float64 {
 // 75us over BIP/Myrinet).
 func Migration(prof *madeleine.Profile) float64 {
 	rt := pm2.NewRuntime(pm2.Config{Nodes: 2, Network: prof, Seed: 1})
+	defer rt.Close()
 	var took float64
 	rt.CreateThreadStack(0, "wanderer", 1024, func(th *pm2.Thread) {
 		start := th.Now()
@@ -59,6 +61,7 @@ func ReadFaultMigrate(prof *madeleine.Profile) *core.FaultTiming {
 
 func readFault(prof *madeleine.Profile, protocol string) *core.FaultTiming {
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 2, Network: prof, Protocol: protocol})
+	defer sys.Close()
 	base := sys.MustMalloc(1, core.PageSize, nil)
 	sys.Spawn(0, "reader", func(t *dsmpm2.Thread) { t.ReadUint64(base) })
 	mustRun(sys.Run())
@@ -85,6 +88,7 @@ type LinkFault struct {
 func HierReadFaults(nodes, clusters int, intra, inter *madeleine.Profile, protocol string) []LinkFault {
 	topo := madeleine.NewHierarchical(madeleine.EvenClusters(nodes, clusters), intra, inter)
 	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: nodes, Topology: topo, Protocol: protocol})
+	defer sys.Close()
 	for r := 1; r < nodes; r++ {
 		base := sys.MustMalloc(0, core.PageSize, nil) // homed on node 0
 		sys.Spawn(r, fmt.Sprintf("reader%d", r), func(t *dsmpm2.Thread) {
@@ -129,6 +133,7 @@ func Contention(prof *madeleine.Profile, readers int) ContentionResult {
 			Nodes: 2, Network: prof, Protocol: "li_hudak",
 			LinkContention: contended,
 		})
+		defer sys.Close()
 		for r := 0; r < readers; r++ {
 			base := sys.MustMalloc(0, core.PageSize, nil)
 			sys.Spawn(1, fmt.Sprintf("reader%d", r), func(t *dsmpm2.Thread) {

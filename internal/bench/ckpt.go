@@ -106,6 +106,7 @@ func runSteps(cfg jacobi.Config, steps int, cold bool) (*jacobi.Session, error) 
 	s.ColdRestart = cold
 	for i := 0; i < steps; i++ {
 		if err := s.Step(); err != nil {
+			s.Close()
 			return nil, fmt.Errorf("step %d: %w", i, err)
 		}
 	}
@@ -129,6 +130,7 @@ func CkptRoundtripSweep() (CkptRoundtrip, error) {
 	if err != nil {
 		return CkptRoundtrip{}, err
 	}
+	defer ref.Close()
 	refRes, err := finish(ref)
 	if err != nil {
 		return CkptRoundtrip{}, err
@@ -145,6 +147,7 @@ func CkptRoundtripSweep() (CkptRoundtrip, error) {
 			return out, err
 		}
 		ck, err := s.Checkpoint()
+		s.Close()
 		if err != nil {
 			return out, fmt.Errorf("checkpoint at step %d: %w", k, err)
 		}
@@ -163,7 +166,9 @@ func CkptRoundtripSweep() (CkptRoundtrip, error) {
 		if err != nil {
 			return out, fmt.Errorf("resume at step %d: %w", k, err)
 		}
-		if _, err := finish(resumed); err != nil {
+		_, err = finish(resumed)
+		resumed.Close()
+		if err != nil {
 			return out, err
 		}
 		out.Swept++
@@ -185,6 +190,7 @@ func CkptRestartCompare() (warm, cold CkptRestart, err error) {
 		if err != nil {
 			return CkptRestart{}, err
 		}
+		defer s.Close()
 		res, err := finish(s)
 		if err != nil {
 			return CkptRestart{}, err
@@ -218,6 +224,7 @@ func CkptFastForwardRun() (CkptFastForward, error) {
 	if err != nil {
 		return CkptFastForward{}, err
 	}
+	defer s.Close()
 	half := s.Steps() / 2
 	for i := 0; i < half; i++ {
 		if err := s.Step(); err != nil {
@@ -238,6 +245,7 @@ func CkptFastForwardRun() (CkptFastForward, error) {
 	if err != nil {
 		return CkptFastForward{}, err
 	}
+	defer full.Close()
 	if _, err := finish(full); err != nil {
 		return CkptFastForward{}, err
 	}
@@ -252,6 +260,7 @@ func CkptFastForwardRun() (CkptFastForward, error) {
 	if err != nil {
 		return CkptFastForward{}, err
 	}
+	defer resumed.Close()
 	if _, err := finish(resumed); err != nil {
 		return CkptFastForward{}, err
 	}
@@ -325,6 +334,7 @@ func CkptBisectRun(inject int) (CkptBisect, error) {
 	if err != nil {
 		return CkptBisect{}, err
 	}
+	defer ref.Close()
 	ledger := []string{ref.System().Fingerprint()}
 	for i := 0; i < ref.Steps(); i++ {
 		if err := ref.Step(); err != nil {
@@ -341,6 +351,7 @@ func CkptBisectRun(inject int) (CkptBisect, error) {
 		if err != nil {
 			return "", err
 		}
+		defer s.Close()
 		s.PerturbStep = inject
 		for i := 0; i < steps; i++ {
 			if err := s.Step(); err != nil {

@@ -111,6 +111,7 @@ func EventStorm(procs, hops int) KernelResult {
 	name := fmt.Sprintf("event-storm/procs=%d,hops=%d", procs, hops)
 	return measure(name, func() (uint64, float64, int) {
 		eng := sim.NewEngine(1)
+		defer eng.Close()
 		chans := make([]*sim.Chan, procs)
 		for i := range chans {
 			chans[i] = new(sim.Chan)
@@ -153,6 +154,7 @@ func EventStormSharded(procs, hops, shards int) KernelResult {
 	return measure(name, func() (uint64, float64, int) {
 		lat := sim.Microsecond // ring hop latency = inter-shard lookahead
 		se := sim.NewShardedEngine(1, shards, lat)
+		defer se.Close()
 		shardOf := func(i int) int { return i * shards / procs }
 		chans := make([]*sim.Chan, procs)
 		for i := range chans {

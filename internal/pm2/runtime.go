@@ -285,6 +285,18 @@ func (rt *Runtime) Run() error {
 	return rt.eng.Run()
 }
 
+// Close retires the machine's carrier goroutines (see sim.Engine.Close),
+// unwinding the threads still parked: RPC dispatchers, killed threads and
+// anything a deadlock or Stop left blocked. Call it between Runs; it is
+// idempotent, and Run afterwards returns sim.ErrClosed.
+func (rt *Runtime) Close() {
+	if rt.se != nil {
+		rt.se.Close()
+		return
+	}
+	rt.eng.Close()
+}
+
 // Now returns the current virtual time (the maximum over shard clocks when
 // sharded).
 func (rt *Runtime) Now() sim.Time {

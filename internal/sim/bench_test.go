@@ -73,3 +73,28 @@ func BenchmarkSchedulePush(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnExit measures a proc's whole life at steady state: spawn, a
+// first dispatch that binds it to the idle carrier the previous child
+// returned, a body, and exit. It allocates the Proc (1 alloc/op) and starts
+// no goroutine after the first iteration.
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	child := func(p *Proc) {}
+	e.Go("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Go("child", child)
+			p.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if n := len(e.carriers); n > 2 {
+		b.Fatalf("%d carriers for one spawner and one child at a time, want 2", n)
+	}
+	e.Close()
+}

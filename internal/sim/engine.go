@@ -71,7 +71,7 @@ type Engine struct {
 	free    freelist.List[*bucket] // bucket freelist
 
 	cur     *Proc         // proc currently holding the simulation token
-	park    chan struct{} // procs signal here when they yield back
+	park    chan struct{} // carriers signal here when they yield back
 	nextID  int
 	nlive   int    // procs spawned and not yet finished
 	nevents uint64 // events fired since creation
@@ -83,6 +83,10 @@ type Engine struct {
 	parked  map[*Proc]string // blocked procs -> reason, for deadlock reports
 	stopped bool
 	onIdle  func() bool // optional hook when queue drains with live procs
+
+	carriers []*carrier // every carrier goroutine started, in start order
+	idle     []*carrier // carriers with no bound proc, most recent last
+	closed   bool
 
 	// sh is non-nil when this engine is one shard of a multi-shard
 	// ShardedEngine (see shard.go); it carries the shard's horizon bound
@@ -255,10 +259,10 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run drives the simulation until the event queue is empty. It returns nil
-// if every spawned proc has finished, or a *DeadlockError if procs remain
-// blocked with no pending events. Run must be called from the goroutine that
-// owns the engine (typically the test or main goroutine), and only once at a
-// time.
+// if every spawned proc has finished, a *DeadlockError if procs remain
+// blocked with no pending events, or ErrClosed once Close has been called.
+// Run must be called from the goroutine that owns the engine (typically the
+// test or main goroutine), and only once at a time.
 //
 // The event loop is token-passing: whichever goroutine holds the simulation
 // token (initially the Run caller) pops and dispatches events via drive.
@@ -271,6 +275,9 @@ func (d *DeadlockError) Error() string {
 func (e *Engine) Run() error {
 	if e.sh != nil {
 		panic("sim: Run called on one shard of a sharded engine; use ShardedEngine.Run")
+	}
+	if e.closed {
+		return ErrClosed
 	}
 	if e.drive(nil) == driveHanded {
 		// The token was handed to a proc; wait until the driver that
@@ -299,13 +306,14 @@ const (
 	// calling goroutine still holding the token. A proc caller must pass
 	// the token back to Run by signalling park.
 	driveDrained driveResult = iota
-	// driveHanded: the token was sent to another proc's wake channel. The
-	// caller must not touch engine state afterwards — the new driver may
-	// already be running.
+	// driveHanded: the token was sent to another carrier's wake channel.
+	// The caller must not touch engine state afterwards — the new driver
+	// may already be running.
 	driveHanded
-	// driveSelf: the next event was the calling proc's own wake record, so
-	// the caller keeps the token and simply continues running. This makes
-	// an uncontended Advance cost zero goroutine switches.
+	// driveSelf: the next event woke a proc on the calling carrier — its
+	// own proc, or a new one bound to it after its body returned — so the
+	// caller keeps the token and simply continues running. This makes an
+	// uncontended Advance cost zero goroutine switches.
 	driveSelf
 )
 
@@ -313,9 +321,10 @@ const (
 // goroutine or the queue drains. It runs on whichever goroutine currently
 // holds the simulation token, with e.cur == nil (engine context) so that
 // dispatched closures observe the same environment as under a central loop.
-// self is the calling proc (nil when Run drives), needed to short-circuit
-// the proc's own wake record instead of deadlocking on its wake channel.
-func (e *Engine) drive(self *Proc) driveResult {
+// self is the calling carrier (nil when Run drives), needed to
+// short-circuit a wake for itself instead of deadlocking on its own wake
+// channel.
+func (e *Engine) drive(self *carrier) driveResult {
 	if e.sh != nil {
 		return e.driveSharded(self)
 	}
@@ -335,16 +344,10 @@ func (e *Engine) drive(self *Proc) driveResult {
 		e.nevents++
 		switch {
 		case ev.proc != nil:
-			p := ev.proc
-			if p.dead {
+			if ev.proc.dead {
 				continue
 			}
-			e.cur = p
-			if p == self {
-				return driveSelf
-			}
-			p.wake <- struct{}{}
-			return driveHanded
+			return e.resume(ev.proc, self)
 		case ev.ch != nil:
 			ev.ch.Push(ev.payload)
 		default:
@@ -352,6 +355,20 @@ func (e *Engine) drive(self *Proc) driveResult {
 		}
 	}
 	return driveDrained
+}
+
+// resume gives the token to p, binding it to a carrier on its first wake.
+func (e *Engine) resume(p *Proc, self *carrier) driveResult {
+	e.cur = p
+	c := p.c
+	if c == nil {
+		c = e.bind(p)
+	}
+	if c == self {
+		return driveSelf
+	}
+	c.wake <- struct{}{}
+	return driveHanded
 }
 
 // Stop aborts the simulation: Run returns after the current event completes.

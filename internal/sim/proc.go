@@ -2,14 +2,17 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated thread: a goroutine that runs only while it holds the
+// Proc is a simulated thread: a body that runs only while it holds the
 // simulation token. Procs advance virtual time explicitly with Advance and
 // block with Park; the engine resumes them in deterministic event order.
+// A proc is backed by one of the engine's carrier goroutines from its first
+// dispatch until its body returns (see carrier.go).
 type Proc struct {
 	eng    *Engine
 	id     int
 	name   string
-	wake   chan struct{}
+	fn     func(p *Proc) // the body; cleared once it has returned
+	c      *carrier      // nil until the first wake is dispatched
 	dead   bool
 	daemon bool
 
@@ -27,31 +30,17 @@ type Proc struct {
 // Spawn creates a new simulated thread named name that will start executing
 // fn at virtual time start (>= Now). fn runs in simulation context: it may
 // call Advance, Park and the synchronization primitives in this package.
+// Spawn only records the body; a carrier goroutine is bound when the first
+// wake is dispatched.
 func (e *Engine) Spawn(name string, start Time, fn func(p *Proc)) *Proc {
 	e.nextID++
 	p := &Proc{
 		eng:  e,
 		id:   e.nextID,
 		name: name,
-		wake: make(chan struct{}),
+		fn:   fn,
 	}
 	e.nlive++
-	go func() {
-		<-p.wake // wait for first dispatch
-		fn(p)
-		p.dead = true
-		if !p.daemon {
-			e.nlive--
-		}
-		// Final yield: dispatch the remaining events; if the queue
-		// drained here, pass the token back to Run. The goroutine then
-		// exits holding no token (its own wake records are skipped as
-		// dead, so driveSelf cannot occur).
-		e.cur = nil
-		if e.drive(nil) == driveDrained {
-			e.park <- struct{}{}
-		}
-	}()
 	e.scheduleWake(start, p)
 	return p
 }
@@ -90,21 +79,31 @@ func (p *Proc) Now() Time { return p.eng.now }
 // goroutine itself drives the event loop forward (see Engine.drive) before
 // parking, so waking the next proc costs one goroutine switch instead of a
 // bounce through a scheduler goroutine — and resuming this same proc (an
-// uncontended Advance) costs none at all.
+// uncontended Advance) costs none at all. A wake delivered by Close instead
+// unwinds the body (see carrier.go).
 func (p *Proc) yield() {
 	e := p.eng
+	c := p.c
+	if e.closed {
+		// A deferred call of a body Close is unwinding tried to block.
+		c.unwind()
+	}
 	e.cur = nil
-	switch e.drive(p) {
+	switch e.drive(c) {
 	case driveSelf:
 		// Our own wake record was the next event: keep the token and
 		// keep running.
+		return
 	case driveHanded:
-		<-p.wake
+		<-c.wake
 	case driveDrained:
 		// Queue drained with us holding the token: hand it back to Run,
 		// then wait (a later Run phase may unpark us).
 		e.park <- struct{}{}
-		<-p.wake
+		<-c.wake
+	}
+	if e.closed {
+		c.unwind()
 	}
 }
 
@@ -139,11 +138,8 @@ func (p *Proc) Park(reason string) {
 // from engine context or another proc — a proc cannot kill itself (it would
 // still hold the simulation token).
 //
-// The killed proc's goroutine stays parked on its wake channel for the rest
-// of the process — a deliberate leak of one small stack per kill. Forcing an
-// exit (runtime.Goexit after a final wake) would run the proc's deferred
-// calls concurrently with the simulation, without the token, which is far
-// worse than the bounded memory cost of a fault experiment's kills.
+// A killed proc that had started keeps its carrier goroutine parked until
+// Engine.Close unwinds it under the token.
 func (p *Proc) Kill() {
 	if p.dead {
 		return

@@ -292,6 +292,9 @@ func (se *ShardedEngine) Run() error {
 	if len(se.shards) == 1 {
 		return se.shards[0].Run()
 	}
+	if se.shards[0].closed {
+		return ErrClosed
+	}
 	se.computeDist()
 	se.mu.Lock()
 	se.done = false
@@ -342,6 +345,14 @@ func (se *ShardedEngine) Run() error {
 		return &DeadlockError{Now: at, Blocked: blocked}
 	}
 	return nil
+}
+
+// Close retires every shard's carrier goroutines; see Engine.Close. Call it
+// between Runs.
+func (se *ShardedEngine) Close() {
+	for _, e := range se.shards {
+		e.Close()
+	}
 }
 
 // runShard is one shard's controller loop: synchronize (drain mailbox, post
@@ -586,7 +597,7 @@ func (sh *shardCtl) nextEvent(e *Engine) (event, bool) {
 // dispatch, but events come from the horizon-bounded two-stream merge and
 // an exhausted merge returns the token to the shard controller instead of
 // ending the run.
-func (e *Engine) driveSharded(self *Proc) driveResult {
+func (e *Engine) driveSharded(self *carrier) driveResult {
 	sh := e.sh
 	for !e.stopped {
 		ev, ok := sh.nextEvent(e)
@@ -597,16 +608,10 @@ func (e *Engine) driveSharded(self *Proc) driveResult {
 		e.nevents++
 		switch {
 		case ev.proc != nil:
-			p := ev.proc
-			if p.dead {
+			if ev.proc.dead {
 				continue
 			}
-			e.cur = p
-			if p == self {
-				return driveSelf
-			}
-			p.wake <- struct{}{}
-			return driveHanded
+			return e.resume(ev.proc, self)
 		case ev.ch != nil:
 			ev.ch.Push(ev.payload)
 		default:

@@ -3,9 +3,10 @@
 // The kernel is the substrate on which the whole DSM-PM2 reproduction runs:
 // simulated cluster nodes, network links and user-level threads all advance a
 // shared virtual clock instead of wall-clock time. Exactly one simulated
-// thread (a Proc) runs at any instant; control is handed between the engine
-// goroutine and proc goroutines over unbuffered channels, which makes every
-// run with the same seed bit-for-bit reproducible.
+// thread (a Proc) runs at any instant; control is handed between the Run
+// goroutine and the carrier goroutines that run proc bodies over unbuffered
+// channels, which makes every run with the same seed bit-for-bit
+// reproducible.
 package sim
 
 import "fmt"
