@@ -157,27 +157,6 @@ func BenchmarkKernelEventStorm(b *testing.B) {
 	b.ReportMetric(r.AllocsPerEvent, "allocs/event")
 }
 
-// BenchmarkKernelEventStormSharded measures the parallel (sharded) kernel on
-// the same storm, one sub-benchmark per shard count of the host-scaling
-// matrix. The virtual schedule is identical at every shard count; only the
-// host-core spread changes. The CI smoke (`go test -bench
-// KernelEventStormSharded -benchtime=1x`) uses this to prove the sharded
-// kernel stays runnable, not to gate on wall-clock numbers.
-func BenchmarkKernelEventStormSharded(b *testing.B) {
-	for _, shards := range bench.ScalingShards(0) {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var r bench.KernelResult
-			for i := 0; i < b.N; i++ {
-				r = bench.EventStormSharded(256, 200, shards)
-			}
-			b.ReportAllocs()
-			b.ReportMetric(r.EventsPerSec, "events/sec")
-			b.ReportMetric(r.AllocsPerEvent, "allocs/event")
-		})
-	}
-}
-
 // BenchmarkKernelApps measures the wall-clock cost of the cluster-scale
 // application scenarios of the kernel suite (one iteration each; use
 // dsmbench -exp kernel for the full comparison table).

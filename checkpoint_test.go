@@ -1,6 +1,7 @@
 package dsmpm2_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,15 +94,15 @@ func TestCheckpointRoundTripSweep(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripSharded is the sweep on a sharded machine: capture
-// must snapshot every shard's kernel (clock, RNG position, cross-shard send
-// stamp), restore must rebuild an identically sharded system, and the
-// continued run must replay the sharded schedule — combining-tree barriers
-// and all — bit for bit, at every step boundary.
-func TestCheckpointRoundTripSharded(t *testing.T) {
+// TestCheckpointRoundTripTreeBarrier is the sweep with combining-tree
+// barriers on an 8-cluster topology: the checkpoint must carry the
+// TreeBarrier choice, restore must rebuild the same tree, and the continued
+// run must replay the tree's schedule bit for bit, at every step boundary.
+func TestCheckpointRoundTripTreeBarrier(t *testing.T) {
 	cfg := sessionConfig()
-	cfg.Nodes = 8
-	cfg.Shards = 2
+	cfg.Topology = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(cfg.Nodes, 8),
+		dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
+	cfg.TreeBarrier = true
 	ref := runSession(t, cfg, 0)
 	refFP, refSum := finishFingerprint(t, ref)
 	if want := jacobi.SolveSerial(cfg.N, cfg.Iterations); refSum != want {
@@ -115,11 +116,8 @@ func TestCheckpointRoundTripSharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: checkpoint: %v", k, err)
 		}
-		if got := len(ck.KernelShards); got != 2 {
-			t.Fatalf("k=%d: checkpoint holds %d kernel shards, want 2", k, got)
-		}
-		if ck.Config.Shards != 2 {
-			t.Fatalf("k=%d: checkpoint config shards %d, want 2", k, ck.Config.Shards)
+		if !ck.Config.TreeBarrier {
+			t.Fatalf("k=%d: checkpoint config dropped TreeBarrier", k)
 		}
 		data, err := ck.Encode()
 		if err != nil {
@@ -265,7 +263,7 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 		t.Fatalf("garbage decoded without error")
 	}
 
-	bad := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
+	bad := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, dsmpm2.CheckpointVersion), `"version":99`, 1)
 	if bad == string(data) {
 		t.Fatalf("version marker not found in envelope")
 	}

@@ -35,8 +35,8 @@ func settledGoroutines(t *testing.T, base int) {
 }
 
 // TestOwnersReleaseGoroutines: every app Run closes its system, so after it
-// returns the goroutine count is back at its baseline — also sharded, and
-// with a fault plan whose crashes kill parked threads.
+// returns the goroutine count is back at its baseline — also with tree
+// barriers, and with a fault plan whose crashes kill parked threads.
 func TestOwnersReleaseGoroutines(t *testing.T) {
 	cases := []struct {
 		name string
@@ -47,9 +47,11 @@ func TestOwnersReleaseGoroutines(t *testing.T) {
 				Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 1})
 			return err
 		}},
-		{"jacobi-shards2", func() error {
+		{"jacobi-treebarrier", func() error {
 			_, err := jacobi.Run(jacobi.Config{N: 16, Iterations: 3, Nodes: 4,
-				Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 1, Shards: 2})
+				Topology: dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2),
+					dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet),
+				Protocol: "hbrc_mw", Seed: 1, TreeBarrier: true})
 			return err
 		}},
 		{"jacobi-faultplan", func() error {
@@ -80,10 +82,10 @@ func TestOwnersReleaseGoroutines(t *testing.T) {
 // closeProbe is a small traced lock-and-page workload: 4 nodes increment a
 // shared counter, so the system ends with faults, timings, spans and parked
 // RPC dispatchers.
-func closeProbe(t *testing.T, shards int) *dsmpm2.System {
+func closeProbe(t *testing.T) *dsmpm2.System {
 	t.Helper()
 	sys, err := dsmpm2.New(dsmpm2.Config{Nodes: 4, Protocol: "li_hudak",
-		Seed: 3, Trace: true, Shards: shards})
+		Seed: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,30 +123,26 @@ func observed(sys *dsmpm2.System) string {
 // a finished system reports, and Run afterwards returns ErrClosed instead
 // of waiting on goroutines that are gone.
 func TestCloseKeepsResultsAndRefusesRun(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			sys := closeProbe(t, shards)
-			want := observed(sys)
-			if runtime.NumGoroutine() <= base {
-				t.Fatal("finished system holds no goroutines; the test probes nothing")
-			}
-			sys.Close()
-			if got := observed(sys); got != want {
-				t.Errorf("Close changed the results:\n got %s\nwant %s", got, want)
-			}
-			sys.Close()
-			if got := observed(sys); got != want {
-				t.Errorf("second Close changed the results")
-			}
-			settledGoroutines(t, base)
-			sys.Spawn(0, "late", func(th *dsmpm2.Thread) {})
-			if err := sys.Run(); !errors.Is(err, dsmpm2.ErrClosed) {
-				t.Errorf("Run after Close = %v, want ErrClosed", err)
-			}
-			settledGoroutines(t, base)
-		})
+	base := runtime.NumGoroutine()
+	sys := closeProbe(t)
+	want := observed(sys)
+	if runtime.NumGoroutine() <= base {
+		t.Fatal("finished system holds no goroutines; the test probes nothing")
 	}
+	sys.Close()
+	if got := observed(sys); got != want {
+		t.Errorf("Close changed the results:\n got %s\nwant %s", got, want)
+	}
+	sys.Close()
+	if got := observed(sys); got != want {
+		t.Errorf("second Close changed the results")
+	}
+	settledGoroutines(t, base)
+	sys.Spawn(0, "late", func(th *dsmpm2.Thread) {})
+	if err := sys.Run(); !errors.Is(err, dsmpm2.ErrClosed) {
+		t.Errorf("Run after Close = %v, want ErrClosed", err)
+	}
+	settledGoroutines(t, base)
 }
 
 // TestUnrunSystemStartsNoGoroutines: building a system and spawning threads

@@ -78,11 +78,8 @@
 //
 // The kernel experiment measures the simulator itself (not the simulated
 // cluster): wall-clock events/sec, allocations per event and peak heap,
-// against the committed pre-overhaul baseline. It then runs the host-scaling
-// matrix: the 1,000-proc event storm on the parallel (sharded) kernel at
-// shard counts 1,2,4,... up to -shards (default: the host's CPU count,
-// floored at 2), reporting each row's throughput and speedup over the
-// shards=1 serial baseline. Every BENCH_*.json snapshot records the host it
+// against the committed pre-overhaul baseline. Every BENCH_*.json snapshot
+// records the host it
 // was measured on (CPU count, GOMAXPROCS, Go version), so rows from
 // different machines stay interpretable. With -json it writes the
 // BENCH_kernel.json snapshot that tracks the perf trajectory; with
@@ -127,7 +124,6 @@ var experiments = []string{
 // so tests can perturb one knob at a time.
 type cliArgs struct {
 	exp     string
-	shards  int
 	perturb int
 	readers int
 	// The tune experiment's knobs: the worker-pool size and the grid-subset
@@ -196,35 +192,7 @@ func validateArgs(a cliArgs) error {
 	if !known {
 		return fmt.Errorf("unknown experiment %q (valid: %s)", a.exp, strings.Join(experiments, ", "))
 	}
-	if a.shards < 0 {
-		return fmt.Errorf("-shards %d out of range (want >= 0; 0 selects the experiment's default)", a.shards)
-	}
-	// The experiments that shard the simulated machine (not just the host
-	// matrix) bound -shards by their pinned topology: a shard must own at
-	// least one node, and the comm scale rows additionally need the shards to
-	// tile the hierarchical topology's clusters so the combining tree's
-	// leaves align with cluster boundaries.
 	switch a.exp {
-	case "faults":
-		// Crash recovery is single-loop machinery; System.InjectFaults
-		// refuses a sharded kernel, so reject the combination up front.
-		if a.shards > 1 {
-			return fmt.Errorf("-shards %d is invalid for the faults experiment (fault injection requires Shards <= 1: crash recovery assumes the single-loop kernel)", a.shards)
-		}
-	case "serve":
-		if a.shards > bench.ServeNodes {
-			return fmt.Errorf("-shards %d exceeds the serve workload's %d nodes (a shard owns at least one node)",
-				a.shards, bench.ServeNodes)
-		}
-	case "comm":
-		if a.shards > bench.CommScaleClusters {
-			return fmt.Errorf("-shards %d exceeds the comm scale topology's %d clusters",
-				a.shards, bench.CommScaleClusters)
-		}
-		if a.shards > 0 && bench.CommScaleClusters%a.shards != 0 {
-			return fmt.Errorf("-shards %d does not tile the comm scale topology's %d clusters (want a divisor)",
-				a.shards, bench.CommScaleClusters)
-		}
 	case "tune":
 		if a.workers < 0 {
 			return fmt.Errorf("-workers %d out of range (want >= 0; 0 uses every host CPU)", a.workers)
@@ -282,7 +250,6 @@ func realMain(args []string) (code int) {
 	repair := fs.Float64("repair", 3, "generated plans: node repair time (virtual ms)")
 	faultSeed := fs.Int64("faultseed", 11, "seed for generated fault plans and message-loss draws")
 	faultProtos := fs.String("faultproto", "hbrc_mw,entry_mw", "comma-separated protocols for the faults experiment")
-	shards := fs.Int("shards", 0, "kernel: max shard count for the host-scaling matrix (0 = host CPUs, floored at 2); comm: shard count of the combining-tree scale rows (0 = one per cluster); serve: kernel shards for the KV runs (0 = single-loop)")
 	perturb := fs.Int("perturb", 3, "bisect experiment: session step at which the deliberate divergence is injected")
 	workers := fs.Int("workers", 0, "tune: host worker-pool size for the grid sweep (0 = every host CPU)")
 	cacheDir := fs.String("cachedir", ".tunecache", "tune: cell-cache ledger directory (empty disables caching)")
@@ -296,7 +263,7 @@ func realMain(args []string) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	cli := cliArgs{exp: *exp, shards: *shards, perturb: *perturb, readers: *readers,
+	cli := cliArgs{exp: *exp, perturb: *perturb, readers: *readers,
 		workers: *workers, cacheDir: *cacheDir, tuneWorkload: *tuneWorkload,
 		tuneProtos: *tuneProtos, tuneTopos: *tuneTopos, tunePlace: *tunePlace, tuneComm: *tuneComm}
 	if err := validateArgs(cli); err != nil {
@@ -370,7 +337,7 @@ func realMain(args []string) (code int) {
 		contention(*readers)
 	}
 	if *exp == "kernel" { // wall-clock heavy: explicit opt-in, not part of "all"
-		if err := kernel(*jsonOut, *shards); err != nil {
+		if err := kernel(*jsonOut); err != nil {
 			log.Printf("kernel: %v", err)
 			return 1
 		}
@@ -383,7 +350,7 @@ func realMain(args []string) (code int) {
 		}
 	}
 	if *exp == "comm" { // explicit opt-in, not part of "all"
-		if err := comm(*jsonOut, *shards); err != nil {
+		if err := comm(*jsonOut); err != nil {
 			log.Printf("comm: %v", err)
 			return 1
 		}
@@ -395,7 +362,7 @@ func realMain(args []string) (code int) {
 		}
 	}
 	if *exp == "serve" { // explicit opt-in, not part of "all"
-		if err := serve(*jsonOut, *shards); err != nil {
+		if err := serve(*jsonOut); err != nil {
 			log.Printf("serve: %v", err)
 			return 1
 		}
@@ -651,23 +618,18 @@ const benchKernelFile = "BENCH_kernel.json"
 // (pre-overhaul kernel) next to the numbers measured by this run.
 type kernelSnapshot struct {
 	Experiment string `json:"experiment"`
-	// Host is the machine these Current/Sharded numbers were measured on.
+	// Host is the machine the Current numbers were measured on.
 	Host bench.HostMeta `json:"host"`
 	// Baseline is the pre-overhaul kernel (container/heap, boxed events,
 	// double switch per wake, unpooled pages/messages).
 	Baseline []bench.KernelResult `json:"baseline"`
 	// Current is this binary, measured now on this machine.
 	Current []bench.KernelResult `json:"current"`
-	// Sharded is the host-scaling matrix: the 1,000-proc event storm on the
-	// parallel kernel at increasing shard counts, shards=1 first (the serial
-	// baseline for speedups).
-	Sharded []bench.KernelResult `json:"sharded"`
 }
 
 // kernel measures the simulator's own wall-clock efficiency and compares it
-// against the committed pre-overhaul baseline, then runs the host-scaling
-// matrix of the parallel (sharded) kernel.
-func kernel(writeJSON bool, maxShards int) error {
+// against the committed pre-overhaul baseline.
+func kernel(writeJSON bool) error {
 	header("Kernel: simulator wall-clock efficiency (baseline = pre-overhaul kernel)")
 	base := bench.KernelBaseline()
 	baseByName := map[string]bench.KernelResult{}
@@ -690,26 +652,10 @@ func kernel(writeJSON bool, maxShards int) error {
 	}
 	fmt.Println("(events/sec is wall-clock; virtual timings are identical across kernels,")
 	fmt.Println(" see the golden-trace test. Baseline numbers are fixed in internal/bench.)")
-
-	host := bench.Host()
-	header(fmt.Sprintf("Kernel: host-scaling matrix (parallel kernel; host: %d CPUs, GOMAXPROCS=%d, %s)",
-		host.CPUs, host.GOMAXPROCS, host.GoVersion))
-	sharded := bench.KernelScalingSuite(bench.ScalingShards(maxShards))
-	fmt.Printf("%-48s %12s %14s %8s\n", "scenario", "wall(ms)", "ev/s", "speedup")
-	for i, r := range sharded {
-		speedup := "-"
-		if i > 0 && sharded[0].WallMS > 0 {
-			speedup = fmt.Sprintf("%.2fx", sharded[0].WallMS/r.WallMS)
-		}
-		fmt.Printf("%-48s %12.2f %14.0f %8s\n", r.Name, r.WallMS, r.EventsPerSec, speedup)
-	}
-	fmt.Println("(speedup is wall-clock vs the shards=1 row of this same run; the virtual")
-	fmt.Println(" schedule is identical for every shard count. Scaling needs free host cores:")
-	fmt.Println(" on a single-core host the sharded rows only measure synchronization cost.)")
 	if !writeJSON {
 		return nil
 	}
-	snap := kernelSnapshot{Experiment: "kernel", Host: host, Baseline: base, Current: cur, Sharded: sharded}
+	snap := kernelSnapshot{Experiment: "kernel", Host: bench.Host(), Baseline: base, Current: cur}
 	f, err := os.Create(benchKernelFile)
 	if err != nil {
 		return fmt.Errorf("-json: %w", err)
@@ -741,9 +687,8 @@ type commSnapshot struct {
 // barrier-phased applications at cluster scale, then runs the scale rows:
 // jacobi on the 8-cluster hierarchical topology at 64 and 512 nodes, flat
 // barriers vs the combining tree, reporting the per-barrier backbone
-// envelope cost. treeShards picks the tree rows' shard count (0 = one shard
-// per cluster).
-func comm(writeJSON bool, treeShards int) error {
+// envelope cost.
+func comm(writeJSON bool) error {
 	header("Comm: batched vs unbatched communication path (virtual-time exact)")
 	results := bench.CommSuite()
 	fmt.Printf("%-10s %6s %9s %10s %10s %9s %8s %8s %8s %8s %12s\n",
@@ -773,20 +718,24 @@ func comm(writeJSON bool, treeShards int) error {
 	fmt.Println(" the invalidation information for free)")
 
 	header("Comm scale: per-barrier backbone envelopes, flat vs combining-tree barriers")
-	scale := bench.CommScaleSuite(treeShards)
+	scale := bench.CommScaleSuite()
 	fmt.Printf("%-12s %6s %9s %7s %10s %9s %10s %13s\n",
-		"app", "nodes", "clusters", "shards", "envelopes", "backbone", "barriers", "backbone/bar")
+		"app", "nodes", "clusters", "barrier", "envelopes", "backbone", "barriers", "backbone/bar")
 	var flat512, tree512 bench.CommResult
 	for _, r := range scale {
 		results = append(results, r)
-		fmt.Printf("%-12s %6d %9d %7d %10d %9d %10d %13.1f\n",
-			r.App, r.Nodes, r.Clusters, r.Shards, r.Envelopes,
+		barrier := "flat"
+		if r.Tree {
+			barrier = "tree"
+		}
+		fmt.Printf("%-12s %6d %9d %7s %10d %9d %10d %13.1f\n",
+			r.App, r.Nodes, r.Clusters, barrier, r.Envelopes,
 			r.BackboneEnvelopes, r.BarrierGens, r.BackbonePerBarrier)
 		if r.Nodes == 512 {
-			if r.Shards == 1 {
-				flat512 = r
-			} else {
+			if r.Tree {
 				tree512 = r
+			} else {
+				flat512 = r
 			}
 		}
 	}
@@ -901,16 +850,15 @@ type serveSnapshot struct {
 
 // serve runs the Zipf-serving KV store under static and adaptive placement
 // and reports the per-operation tail latencies. It fails unless the
-// adaptive p99 beats the static one and the replay check holds. shards > 1
-// serves the trace on that many parallel event loops.
-func serve(writeJSON bool, shards int) error {
+// adaptive p99 beats the static one and the replay check holds.
+func serve(writeJSON bool) error {
 	header("Serve: Zipf KV store tail latency, static (misplaced) vs adaptive homes")
-	static, adaptive, replayOK, err := bench.ServeSuite(shards)
+	static, adaptive, replayOK, err := bench.ServeSuite()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload: %d requests over %d keys in %d buckets on %d nodes (%d kernel shard(s)), %s\n",
-		static.Requests, static.Keys, static.Buckets, static.Nodes, max(static.Shards, 1), static.Protocol)
+	fmt.Printf("workload: %d requests over %d keys in %d buckets on %d nodes, %s\n",
+		static.Requests, static.Keys, static.Buckets, static.Nodes, static.Protocol)
 	fmt.Printf("%-10s %-6s %8s %12s %12s %12s %12s %12s\n",
 		"placement", "op", "count", "p50(us)", "p95(us)", "p99(us)", "mean(us)", "max(us)")
 	us := func(d dsmpm2.Duration) float64 { return float64(d) / 1e3 }

@@ -19,6 +19,7 @@ func TestCLIRejectsBadArgs(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "bogus"}},
 		{"empty experiment", []string{"-exp", ""}},
 		{"misspelled serve", []string{"-exp", "server"}},
+		// The -shards flag is gone: old invocations are usage errors.
 		{"negative shards", []string{"-exp", "kernel", "-shards", "-1"}},
 		{"faults sharded", []string{"-exp", "faults", "-shards", "2"}},
 		{"zero perturb", []string{"-exp", "bisect", "-perturb", "0"}},
@@ -59,14 +60,6 @@ func TestValidateArgsMessages(t *testing.T) {
 		a := defaultArgs(exp)
 		mut(&a)
 		return a
-	}
-	if err := validateArgs(perturb("kernel", func(a *cliArgs) { a.shards = -3 })); err == nil ||
-		!strings.Contains(err.Error(), "-shards -3") {
-		t.Errorf("shards range error = %v, want it to name -shards -3", err)
-	}
-	if err := validateArgs(perturb("faults", func(a *cliArgs) { a.shards = 2 })); err == nil ||
-		!strings.Contains(err.Error(), "single-loop") {
-		t.Errorf("faults shards error = %v, want it to name the single-loop constraint", err)
 	}
 	if err := validateArgs(perturb("bisect", func(a *cliArgs) { a.perturb = 0 })); err == nil ||
 		!strings.Contains(err.Error(), "-perturb 0") {

@@ -1,6 +1,7 @@
 package dsmpm2
 
 import (
+	"errors"
 	"fmt"
 
 	"dsmpm2/internal/core"
@@ -82,6 +83,11 @@ var ResolveProfile = madeleine.ResolveProfile
 // ErrClosed is returned by System.Run after System.Close.
 var ErrClosed = sim.ErrClosed
 
+// ErrTreeBarrierTopology is returned by New when Config.TreeBarrier is set on
+// a topology without clusters: the combining tree takes its leaders from the
+// clusters of a HierarchicalTopology.
+var ErrTreeBarrierTopology = errors.New("dsmpm2: TreeBarrier needs a hierarchical topology (its clusters are the tree's leaders)")
+
 // The four cluster networks evaluated in the paper.
 var (
 	BIPMyrinet      = madeleine.BIPMyrinet
@@ -133,18 +139,14 @@ type Config struct {
 	// are re-homed onto their dominant writers (`dsmbench -exp adapt`).
 	// Off by default — placement then stays exactly as allocated.
 	AdaptiveHomes bool
-	// Shards selects the simulation kernel's parallelism: the event loop is
-	// partitioned into that many conservatively-synchronized shards (one
-	// per topology cluster when a Hierarchical topology matches the count,
-	// contiguous node blocks otherwise), each running on its own host core.
-	// The DSM layer is shard-aware end-to-end — per-shard counters and
-	// buffer pools, a range-partitioned directory, and combining-tree
-	// barriers — and a sharded run is deterministic: same seed, same
-	// observable DSM state, whatever the host interleaving. 0 or 1 keeps
-	// the single-loop kernel (bit-for-bit the historical behavior).
-	// Incompatible with fault injection/recovery, whose death bookkeeping
-	// is single-loop machinery.
-	Shards int
+	// TreeBarrier combines cluster-wide barrier arrivals through a tree of
+	// cluster leaders (the lowest node of each cluster of a
+	// HierarchicalTopology, fan-in 4) instead of funneling every arrival to
+	// node 0, so the backbone carries O(log clusters) envelopes per
+	// generation instead of O(nodes). Subset barriers, and every barrier
+	// once crash recovery is on, stay flat. New rejects it on a topology
+	// without clusters with ErrTreeBarrierTopology.
+	TreeBarrier bool
 	// Protocol names the default consistency protocol (default
 	// "li_hudak"); see ProtocolNames for the list.
 	Protocol string
@@ -237,8 +239,9 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("dsmpm2: topology %s is built for %d nodes, config has %d",
 			cfg.Topology.Name(), s.Nodes(), cfg.Nodes)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("dsmpm2: invalid shard count %d", cfg.Shards)
+	hier, _ := cfg.Topology.(*madeleine.Hierarchical)
+	if cfg.TreeBarrier && hier == nil {
+		return nil, ErrTreeBarrierTopology
 	}
 	rt := pm2.NewRuntime(pm2.Config{
 		Nodes:          cfg.Nodes,
@@ -247,21 +250,20 @@ func New(cfg Config) (*System, error) {
 		Topology:       cfg.Topology,
 		LinkContention: cfg.LinkContention,
 		Seed:           cfg.Seed,
-		Shards:         cfg.Shards,
 	})
 	reg, ids := protocols.NewRegistry()
 	d := core.New(rt, reg, core.DefaultCosts())
 	d.SetBatching(!cfg.UnbatchedComm)
+	if cfg.TreeBarrier {
+		clusterOf := make([]int, cfg.Nodes)
+		for n := range clusterOf {
+			clusterOf[n] = hier.ClusterOf(n)
+		}
+		d.EnableTreeBarrier(clusterOf)
+	}
 	s := &System{rt: rt, dsm: d, ids: ids, cfg: cfg}
 	if cfg.Trace {
-		if rt.Sharded() {
-			// Each kernel shard records into its own span slice (shard
-			// goroutines may not share one append target); reads merge them
-			// in canonical virtual-time order.
-			s.tr = trace.NewShardedLog(rt.Shards())
-		} else {
-			s.tr = trace.NewLog()
-		}
+		s.tr = trace.NewLog()
 	}
 	if err := s.SetDefaultProtocol(cfg.Protocol); err != nil {
 		return nil, err

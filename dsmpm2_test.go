@@ -1,6 +1,7 @@
 package dsmpm2_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -29,6 +30,30 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := dsmpm2.New(dsmpm2.Config{Protocol: "quantum"}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+}
+
+// TestNewRejectsTreeBarrierWithoutClusters: TreeBarrier takes its leaders
+// from a hierarchical topology's clusters, so New refuses it on a uniform
+// network or a link matrix with the exported sentinel, and accepts it on a
+// hierarchical one.
+func TestNewRejectsTreeBarrierWithoutClusters(t *testing.T) {
+	for name, topo := range map[string]dsmpm2.Topology{
+		"default":    nil,
+		"uniform":    dsmpm2.UniformTopology(dsmpm2.SISCISCI),
+		"linkmatrix": dsmpm2.LinkMatrixTopology(dsmpm2.BIPMyrinet),
+	} {
+		_, err := dsmpm2.New(dsmpm2.Config{Nodes: 4, Topology: topo, TreeBarrier: true})
+		if !errors.Is(err, dsmpm2.ErrTreeBarrierTopology) {
+			t.Errorf("%s: New = %v, want ErrTreeBarrierTopology", name, err)
+		}
+	}
+	hier := dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(4, 2),
+		dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
+	sys, err := dsmpm2.New(dsmpm2.Config{Nodes: 4, Topology: hier, TreeBarrier: true})
+	if err != nil {
+		t.Fatalf("hierarchical TreeBarrier: %v", err)
+	}
+	sys.Close()
 }
 
 func TestProtocolNamesComplete(t *testing.T) {

@@ -7,7 +7,6 @@ package dsmpm2_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"dsmpm2"
@@ -232,35 +231,35 @@ func TestMTBFPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestInjectFaultsShardedRejected: fault injection on a sharded kernel must
-// surface as a descriptive error — never a panic — and must not arm any
-// fault layer; the single-shard path is unchanged. (The name carries "Shard"
-// so CI's race step exercises it too.)
-func TestInjectFaultsShardedRejected(t *testing.T) {
-	plan := dsmpm2.NewFaultPlan(3)
-	plan.Crash(at(dsmpm2.Millisecond), 1).Restart(at(2*dsmpm2.Millisecond), 1)
+// TestFaultsComposeWithTreeBarrier: the crash/restart plan runs on a
+// tree-barrier machine. Once recovery is on every barrier stays flat, so the
+// run must still match the serial oracle and replay bit for bit. A nil plan
+// stays a no-op.
+func TestFaultsComposeWithTreeBarrier(t *testing.T) {
+	cfg := faultyJacobiConfig("hbrc_mw")
+	cfg.Topology = dsmpm2.HierarchicalTopology(dsmpm2.EvenClusters(cfg.Nodes, 8),
+		dsmpm2.BIPMyrinet, dsmpm2.TCPFastEthernet)
+	cfg.TreeBarrier = true
+	r1, err := jacobi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Recovery.Crashes == 0 {
+		t.Fatal("fault plan crashed no node")
+	}
+	if want := jacobi.SolveSerial(cfg.N, cfg.Iterations); r1.Checksum != want {
+		t.Errorf("checksum %v, serial %v", r1.Checksum, want)
+	}
+	r2, err := jacobi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := r1.System.Fingerprint(), r2.System.Fingerprint(); a != b {
+		t.Errorf("replay fingerprint %s != %s", b, a)
+	}
 
-	sharded := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1, Shards: 2})
-	if err := sharded.InjectFaults(plan, dsmpm2.FaultOptions{}); err == nil {
-		t.Fatal("InjectFaults on a 2-shard system returned nil, want an error")
-	} else if !strings.Contains(err.Error(), "Shards <= 1") {
-		t.Fatalf("InjectFaults error %q does not name the Shards <= 1 constraint", err)
-	}
-	if err := sharded.InjectFaultsResumable(plan, dsmpm2.FaultOptions{}); err == nil {
-		t.Fatal("InjectFaultsResumable on a 2-shard system returned nil, want an error")
-	}
-	if got := sharded.FaultStats(); got != (dsmpm2.FaultStats{}) {
-		t.Fatalf("rejected injection armed the fault layer anyway: %+v", got)
-	}
-	if err := sharded.Run(); err != nil {
-		t.Fatalf("system unusable after rejected injection: %v", err)
-	}
-
-	single := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
-	if err := single.InjectFaults(plan, dsmpm2.FaultOptions{}); err != nil {
-		t.Fatalf("single-shard InjectFaults: %v", err)
-	}
-	if err := single.InjectFaults(nil, dsmpm2.FaultOptions{}); err != nil {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 1})
+	if err := sys.InjectFaults(nil, dsmpm2.FaultOptions{}); err != nil {
 		t.Fatalf("nil plan must stay a no-op: %v", err)
 	}
 }

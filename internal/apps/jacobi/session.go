@@ -99,7 +99,7 @@ func NewSession(cfg Config) (*Session, error) {
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
 		Recovery:      cfg.Recovery,
-		Shards:        cfg.Shards,
+		TreeBarrier:   cfg.TreeBarrier,
 	})
 	if err != nil {
 		return nil, err

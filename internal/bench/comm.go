@@ -30,10 +30,11 @@ type CommResult struct {
 	App     string `json:"app"`
 	Nodes   int    `json:"nodes"`
 	Batched bool   `json:"batched"`
-	// Clusters/Shards identify the scale rows (hierarchical topology, kernel
-	// shard count); zero for the classic uniform-topology rows.
-	Clusters int `json:"clusters,omitempty"`
-	Shards   int `json:"shards,omitempty"`
+	// Clusters/Tree identify the scale rows (hierarchical topology, and
+	// whether barriers combine through the cluster tree); zero for the
+	// classic uniform-topology rows.
+	Clusters int  `json:"clusters,omitempty"`
+	Tree     bool `json:"tree,omitempty"`
 	// VirtualMS is the workload's simulated run time.
 	VirtualMS float64 `json:"virtual_ms"`
 
@@ -201,30 +202,28 @@ func CommSuite() []CommResult {
 }
 
 // CommScaleClusters is the cluster count of the scale rows' hierarchical
-// topology (and the shard count that aligns the kernel's shards — and
-// therefore the combining tree's leaves — with those clusters). dsmbench
-// validates its -shards flag against it.
+// topology, and so the leaf count of their combining tree.
 const CommScaleClusters = 8
 
 // commScale runs one scale row: jacobi on a hierarchical topology (fast
-// intra-cluster links, slow backbone) at the given node count, flat
-// (shards=1, every barrier arrival Calls the home node) or sharded (one
-// shard per cluster, barrier traffic combines per cluster and only the
-// leaders touch the backbone).
-func commScale(nodes, iters, shards int) CommResult {
+// intra-cluster links, slow backbone) at the given node count, with flat
+// barriers (every arrival Calls the home node) or the combining tree
+// (barrier traffic combines per cluster and only the leaders touch the
+// backbone).
+func commScale(nodes, iters int, tree bool) CommResult {
 	clusters := CommScaleClusters
 	inter := dsmpm2.TCPFastEthernet
 	res, err := jacobi.Run(jacobi.Config{
 		N: nodes, Iterations: iters, Nodes: nodes,
 		Topology: dsmpm2.HierarchicalTopology(
 			dsmpm2.EvenClusters(nodes, clusters), dsmpm2.BIPMyrinet, inter),
-		Protocol: "hbrc_mw", Seed: 7, Shards: shards,
+		Protocol: "hbrc_mw", Seed: 7, TreeBarrier: tree,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("comm scale %d/%d: %v", nodes, shards, err))
+		panic(fmt.Sprintf("comm scale %d tree=%v: %v", nodes, tree, err))
 	}
 	if want := jacobi.SolveSerial(nodes, iters); res.Checksum != want {
-		panic(fmt.Sprintf("comm scale %d/%d: checksum %v, serial %v", nodes, shards, res.Checksum, want))
+		panic(fmt.Sprintf("comm scale %d tree=%v: checksum %v, serial %v", nodes, tree, res.Checksum, want))
 	}
 	sys := res.System
 	st := sys.Stats()
@@ -234,7 +233,7 @@ func commScale(nodes, iters, shards int) CommResult {
 		Nodes:     nodes,
 		Batched:   true,
 		Clusters:  clusters,
-		Shards:    shards,
+		Tree:      tree,
 		VirtualMS: float64(res.Elapsed) / 1e6,
 		Messages:  msgs,
 		Bytes:     bytes,
@@ -276,19 +275,14 @@ func commScale(nodes, iters, shards int) CommResult {
 
 // CommScaleSuite is the sync-envelope growth matrix: 64- and 512-node jacobi
 // on the 8-cluster hierarchical topology, each measured with flat barriers
-// (shards=1) and with the combining tree (treeShards > 1, one shard per
-// cluster when treeShards == CommScaleClusters). treeShards <= 1 selects the
-// cluster count. Iteration counts are small — per-barrier backbone cost is
-// steady-state after the first generation, and these rows exist for the wire
-// accounting, not the heat flow.
-func CommScaleSuite(treeShards int) []CommResult {
-	if treeShards <= 1 {
-		treeShards = CommScaleClusters
-	}
+// and with the combining tree. Iteration counts are small — per-barrier
+// backbone cost is steady-state after the first generation, and these rows
+// exist for the wire accounting, not the heat flow.
+func CommScaleSuite() []CommResult {
 	var out []CommResult
 	for _, nodes := range []int{64, 512} {
 		iters := 4
-		out = append(out, commScale(nodes, iters, 1), commScale(nodes, iters, treeShards))
+		out = append(out, commScale(nodes, iters, false), commScale(nodes, iters, true))
 	}
 	return out
 }

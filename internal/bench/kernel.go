@@ -135,81 +135,6 @@ func EventStorm(procs, hops int) KernelResult {
 	})
 }
 
-// EventStormSharded is the event storm on the parallel kernel: procs ring
-// threads partitioned into contiguous blocks, one block per shard, each block
-// driven by its own event loop on its own goroutine (sim.ShardedEngine). Only
-// the ring edges between blocks cross shards; every hand-off — local or
-// remote — is scheduled at now+1µs, so the virtual schedule is identical for
-// every shard count and runs differ only in how the work is spread over host
-// cores. shards=1 degenerates to a single plain event loop, making the
-// shards=1 row the apples-to-apples serial baseline for the scaling matrix.
-func EventStormSharded(procs, hops, shards int) KernelResult {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > procs {
-		shards = procs
-	}
-	name := fmt.Sprintf("event-storm-sharded/procs=%d,hops=%d,shards=%d", procs, hops, shards)
-	return measure(name, func() (uint64, float64, int) {
-		lat := sim.Microsecond // ring hop latency = inter-shard lookahead
-		se := sim.NewShardedEngine(1, shards, lat)
-		defer se.Close()
-		shardOf := func(i int) int { return i * shards / procs }
-		chans := make([]*sim.Chan, procs)
-		for i := range chans {
-			chans[i] = new(sim.Chan)
-			chans[i].Push(-1) // seed token so the ring flows
-		}
-		for i := 0; i < procs; i++ {
-			i := i
-			e := se.Shard(shardOf(i))
-			e.Go(fmt.Sprintf("storm%d", i), func(p *sim.Proc) {
-				next := (i + 1) % procs
-				dst := shardOf(next)
-				for h := 0; h < hops; h++ {
-					chans[i].Recv(p)
-					p.Advance(sim.Microsecond)
-					e.SchedulePushShard(dst, p.Now().Add(lat), chans[next], i)
-				}
-			})
-		}
-		if err := se.Run(); err != nil {
-			panic(err)
-		}
-		return se.Events(), float64(se.Now()) / 1e6, procs
-	})
-}
-
-// ScalingShards picks the shard counts for the host-scaling matrix: powers of
-// two from 1 up to maxShards, plus maxShards itself. maxShards <= 0 selects
-// the host's CPU count, floored at 2 so the matrix always contains a genuinely
-// sharded row even on a single-core host.
-func ScalingShards(maxShards int) []int {
-	if maxShards <= 0 {
-		maxShards = runtime.NumCPU()
-		if maxShards < 2 {
-			maxShards = 2
-		}
-	}
-	var out []int
-	for s := 1; s < maxShards; s *= 2 {
-		out = append(out, s)
-	}
-	return append(out, maxShards)
-}
-
-// KernelScalingSuite measures the 1,000-proc event storm across the given
-// shard counts — the host-scaling matrix of the kernel experiment. The first
-// row (shards=1) is the serial baseline every speedup is computed against.
-func KernelScalingSuite(shardCounts []int) []KernelResult {
-	var out []KernelResult
-	for _, s := range shardCounts {
-		out = append(out, EventStormSharded(1000, 500, s))
-	}
-	return out
-}
-
 // JacobiStorm runs the barrier-phased stencil at cluster scale and measures
 // the simulator's wall-clock cost: nodes application threads plus the RPC
 // dispatcher/handler threads the DSM spawns under them.

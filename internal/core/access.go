@@ -50,7 +50,7 @@ func (d *DSM) Access(t *pm2.Thread, addr Addr, buf []byte, write bool) {
 			if maxUS > 500 {
 				maxUS = 500
 			}
-			jitter := sim.Duration(1+d.rt.EngineFor(t.Node()).Rand().Intn(maxUS)) * sim.Microsecond
+			jitter := sim.Duration(1+d.rt.Engine().Rand().Intn(maxUS)) * sim.Microsecond
 			t.Advance(jitter)
 		}
 		d.handleFault(t, flt)
@@ -87,14 +87,14 @@ func (d *DSM) handleFault(t *pm2.Thread, flt *memory.Fault) {
 	d.nodeFaults[node]++
 	d.profFault(node, flt.Page, flt.Write)
 	if flt.Write {
-		d.st(node).WriteFaults++
+		d.stats.WriteFaults++
 		proto.WriteFaultHandler(f)
 	} else {
-		d.st(node).ReadFaults++
+		d.stats.ReadFaults++
 		proto.ReadFaultHandler(f)
 	}
 	ft.Total = t.Now().Sub(start)
-	d.tlog(node).Add(ft)
+	d.timings.Add(ft)
 	if f.entryLocked {
 		// Safe to release before the retry: the current thread keeps
 		// the simulation token until its next blocking operation, and
@@ -142,7 +142,7 @@ func (d *DSM) WriteUint64(t *pm2.Thread, addr Addr, v uint64) {
 // it provides one (java_ic/java_pf), falling back to the paged access path
 // otherwise, so object-style programs run under any protocol.
 func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
-	d.st(t.Node()).GetOps++
+	d.stats.GetOps++
 	pg := d.state[0].space.PageOf(addr)
 	if op, ok := d.protoAt(t.Node(), pg).(ObjectProtocol); ok {
 		op.Get(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: false})
@@ -154,7 +154,7 @@ func (d *DSM) Get(t *pm2.Thread, addr Addr, buf []byte) {
 // Put performs an object write through the page protocol's put primitive if
 // it provides one, falling back to the paged access path otherwise.
 func (d *DSM) Put(t *pm2.Thread, addr Addr, buf []byte) {
-	d.st(t.Node()).PutOps++
+	d.stats.PutOps++
 	pg := d.state[0].space.PageOf(addr)
 	if op, ok := d.protoAt(t.Node(), pg).(ObjectProtocol); ok {
 		op.Put(&ObjAccess{DSM: d, Thread: t, Addr: addr, Buf: buf, Write: true})

@@ -201,8 +201,8 @@ func (d *DSM) registerServices() {
 
 // sendRequest delivers a page request to dest (a control message).
 func (d *DSM) sendRequest(from, dest int, m *reqMsg) {
-	m.sentAt = d.rt.EngineFor(from).Now()
-	st := d.st(from)
+	m.sentAt = d.rt.Engine().Now()
+	st := &d.stats
 	st.Requests++
 	st.Sends++
 	st.Envelopes++
@@ -215,9 +215,9 @@ func (d *DSM) sendRequest(from, dest int, m *reqMsg) {
 // carrying link's profile name is recorded for FaultTiming attribution, so
 // reports can split fault costs by link class (intra- vs inter-cluster).
 func (d *DSM) sendPage(from, dest int, m *pageMsg) {
-	m.sentAt = d.rt.EngineFor(from).Now()
+	m.sentAt = d.rt.Engine().Now()
 	m.link = d.rt.Link(from, dest).Name
-	st := d.st(from)
+	st := &d.stats
 	st.PageSends++
 	st.PageBytes += int64(len(m.data))
 	st.Sends++
@@ -228,7 +228,7 @@ func (d *DSM) sendPage(from, dest int, m *pageMsg) {
 // sendInvalidate delivers an invalidation to dest as its own envelope (the
 // unbatched path; batched flushes coalesce invalidations in outbox.go).
 func (d *DSM) sendInvalidate(from, dest int, m *invMsg) {
-	st := d.st(from)
+	st := &d.stats
 	st.Invalidations++
 	st.Sends++
 	st.Envelopes++
@@ -253,7 +253,7 @@ func (d *DSM) startDiffs(t *pm2.Thread, dest int, diffs []*memory.Diff, noticed,
 		size += df.Size()
 	}
 	m := &diffMsgWire{from: t.Node(), diffs: diffs, noticed: noticed}
-	st := d.st(t.Node())
+	st := &d.stats
 	st.DiffsSent += int64(len(diffs))
 	st.DiffBytes += int64(size)
 	st.Sends++
@@ -295,7 +295,7 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f *diffFlight) {
 			// duplicate ack just lingers unread in this call's private
 			// reply channel. Counted like any other shipment, mirroring
 			// the batched retry path's accounting.
-			st := d.st(t.Node())
+			st := &d.stats
 			st.DiffsSent += int64(len(f.m.diffs))
 			st.Sends++
 			st.Envelopes++
@@ -316,7 +316,7 @@ func (d *DSM) waitDiffs(t *pm2.Thread, f *diffFlight) {
 // would have at the old home.
 func (d *DSM) rerouteDiffs(t *pm2.Thread, diffs []*memory.Diff) {
 	for _, df := range diffs {
-		pi, _ := d.dir.get(df.Page)
+		pi, _ := d.dir[df.Page]
 		home := pi.home
 		if home == t.Node() {
 			if ds, ok := d.protoFor(df.Page).(DiffServer); ok {

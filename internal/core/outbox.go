@@ -219,9 +219,9 @@ func (b *Batch) Flush(wait bool) {
 				Arg:  &diffMsgWire{from: b.node, diffs: []*memory.Diff{df}, noticed: db.noticed[i]},
 				Size: ctrlBytes + df.Size(),
 			})
-			d.st(b.node).DiffBytes += int64(ctrlBytes + df.Size())
+			d.stats.DiffBytes += int64(ctrlBytes + df.Size())
 		}
-		st := d.st(b.node)
+		st := &d.stats
 		st.Invalidations += int64(len(db.invs))
 		st.DiffsSent += int64(len(db.diffs))
 		st.Sends += int64(len(f.elems))
@@ -247,13 +247,13 @@ func (b *Batch) waitFlight(f *batchFlight) {
 	d, t := b.d, b.t
 	if d.recovery == nil {
 		f.reply.Recv(t.Proc())
-		d.st(b.node).InvAcks += int64(f.acks)
+		d.stats.InvAcks += int64(f.acks)
 		return
 	}
 	attempt := 0
 	for {
 		if _, ok := f.reply.RecvTimeout(t.Proc(), d.recovery.retryDelay(attempt)); ok {
-			d.st(b.node).InvAcks += int64(f.acks)
+			d.stats.InvAcks += int64(f.acks)
 			return
 		}
 		attempt++
@@ -264,7 +264,7 @@ func (b *Batch) waitFlight(f *batchFlight) {
 			// envelope — invalidations and diffs apply idempotently, and a
 			// late first reply just lingers unread. Counted like any other
 			// shipment, mirroring the unbatched retry path's accounting.
-			st := d.st(b.node)
+			st := &d.stats
 			st.Invalidations += int64(f.acks)
 			st.DiffsSent += int64(len(f.diffs))
 			st.Sends += int64(len(f.elems))
@@ -319,7 +319,7 @@ func (b *Batch) flushUnbatched(order []int, wait bool) {
 	if d.recovery == nil {
 		for i := 0; i < acks; i++ {
 			ack.Recv(t.Proc())
-			d.st(b.node).InvAcks++
+			d.stats.InvAcks++
 		}
 	} else {
 		attempt := 0
@@ -329,7 +329,7 @@ func (b *Batch) flushUnbatched(order []int, wait bool) {
 				if a, isAck := v.(invAck); isAck {
 					if _, pending := outstanding[a]; pending {
 						delete(outstanding, a)
-						d.st(b.node).InvAcks++
+						d.stats.InvAcks++
 					}
 				}
 				continue
@@ -396,7 +396,7 @@ func (d *DSM) QueueWriteNotice(t *pm2.Thread, barrier int, pg Page) {
 		ns.notices = make(map[int][]WriteNotice)
 	}
 	ns.notices[barrier] = append(ns.notices[barrier], WriteNotice{Page: pg, Writer: t.Node()})
-	d.st(t.Node()).Notices++
+	d.stats.Notices++
 }
 
 // takeNotices drains the write notices a node queued for one barrier, in

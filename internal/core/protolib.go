@@ -151,7 +151,7 @@ func SendPage(r *Request, e *Entry, dest int, access memory.Access, ownship bool
 			r.Node, e.Page, r.From))
 	}
 	// The wire copy is pooled; InstallPage returns it once installed.
-	data := d.buf(r.Node).Get()
+	data := d.bufs.Get()
 	copy(data, frame.Data)
 	owner := r.Node
 	if ownship {
@@ -187,7 +187,7 @@ func InstallPage(pm *PageMsg) {
 		// satisfied): its data may predate writes the current owner has
 		// accepted. Discard it; the outstanding fetch, if any, stays
 		// pending and its own response will complete it.
-		d.buf(pm.Node).Put(pm.Data)
+		d.bufs.Put(pm.Data)
 		pm.Data = nil
 		e.Unlock(t)
 		return
@@ -198,7 +198,7 @@ func InstallPage(pm *PageMsg) {
 		// Drop it and let the faulting threads refault and refetch.
 		// Ownership transfers are exempt: the previous owner serialized
 		// the granting write after any invalidation it sent us.
-		d.buf(pm.Node).Put(pm.Data)
+		d.bufs.Put(pm.Data)
 		pm.Data = nil
 		e.Pending = false
 		e.Broadcast()
@@ -208,7 +208,7 @@ func InstallPage(pm *PageMsg) {
 	space := d.state[pm.Node].space
 	frame := space.Ensure(pm.Page)
 	copy(frame.Data, pm.Data)
-	d.buf(pm.Node).Put(pm.Data) // wire copy was pooled by SendPage; recycle it
+	d.bufs.Put(pm.Data) // wire copy was pooled by SendPage; recycle it
 	pm.Data = nil
 	frame.Access = pm.Access
 	e.ProbOwner = pm.Owner
@@ -245,7 +245,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		})
 		for i := 0; i < acks; i++ {
 			ack.Recv(t.Proc())
-			d.st(t.Node()).InvAcks++
+			d.stats.InvAcks++
 		}
 		return
 	}
@@ -264,7 +264,7 @@ func InvalidateCopies(d *DSM, t *pm2.Thread, pg Page, copyset NodeSet, newOwner 
 		if ok {
 			if a, isAck := v.(invAck); isAck && outstanding[a.node] {
 				delete(outstanding, a.node)
-				d.st(t.Node()).InvAcks++
+				d.stats.InvAcks++
 			}
 			continue
 		}
@@ -375,7 +375,7 @@ func EnsureTwin(d *DSM, node int, e *Entry) {
 		if frame == nil {
 			panic("core: EnsureTwin without a local copy")
 		}
-		td.twin = d.buf(node).MakeTwin(frame.Data)
+		td.twin = d.bufs.MakeTwin(frame.Data)
 	}
 }
 
@@ -395,12 +395,12 @@ func TwinDiff(d *DSM, node int, e *Entry) *memory.Diff {
 	}
 	frame := d.state[node].space.Frame(e.Page)
 	if frame == nil {
-		d.buf(node).Put(td.twin)
+		d.bufs.Put(td.twin)
 		td.twin = nil
 		return nil
 	}
 	diff := memory.ComputeDiff(e.Page, td.twin, frame.Data, d.costs.DiffGap)
-	d.buf(node).Put(td.twin) // twin came from the pool; recycle it
+	d.bufs.Put(td.twin) // twin came from the pool; recycle it
 	td.twin = nil
 	if diff.Empty() {
 		return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dsmpm2/internal/memory"
 	"dsmpm2/internal/sim"
@@ -271,8 +272,16 @@ func (d *DSM) RestartNode(n int) {
 }
 
 // sortedPages returns every allocated page in ascending order: the
-// deterministic sweep order of the recovery passes.
-func (d *DSM) sortedPages() []Page { return d.dir.sortedPages() }
+// deterministic iteration order for recovery sweeps, snapshots and profiler
+// tracking.
+func (d *DSM) sortedPages() []Page {
+	out := make([]Page, 0, len(d.dir))
+	for pg := range d.dir {
+		out = append(out, pg)
+	}
+	slices.Sort(out)
+	return out
+}
 
 // rehomePages repairs the page manager after node n died: pages homed or
 // owned there move to the freshest surviving replica, and every surviving
@@ -281,7 +290,7 @@ func (d *DSM) rehomePages(n int) {
 	rec := d.recovery
 	deadState := d.state[n]
 	for _, pg := range d.sortedPages() {
-		pi, _ := d.dir.get(pg)
+		pi, _ := d.dir[pg]
 		deadEntry := deadState.table[pg]
 		ownerDied := deadEntry != nil && deadEntry.Owner
 		homeDied := pi.home == n
@@ -323,7 +332,7 @@ func (d *DSM) rehomePages(n int) {
 			}
 		}
 		pi.home = best
-		d.dir.set(pg, pi)
+		d.dir[pg] = pi
 		e := d.Entry(best, pg)
 		if lost {
 			frame := d.state[best].space.Ensure(pg)
@@ -365,7 +374,7 @@ func (d *DSM) rehomePages(n int) {
 // scrubEntries removes the dead node n from pg's surviving entries: out of
 // copysets, hints through it redirected to target, home metadata updated.
 func (d *DSM) scrubEntries(pg Page, n, target int) {
-	pi, _ := d.dir.get(pg)
+	pi, _ := d.dir[pg]
 	home := pi.home
 	for i := 0; i < d.rt.Nodes(); i++ {
 		if i == n || d.recovery.dead[i] {

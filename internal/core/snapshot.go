@@ -181,16 +181,9 @@ type CoreState struct {
 	Stats      Stats            `json:"stats"`
 	NodeFaults []int64          `json:"node_faults"`
 	Timings    []FaultTiming    `json:"timings,omitempty"`
-
-	// Sharded machines snapshot their counter and timing state per shard
-	// (the merged Stats/Timings fields above stay populated for readers of
-	// the aggregate). A single-loop machine omits both, keeping its wire
-	// form byte-identical to pre-sharding snapshots.
-	ShardStats   []Stats          `json:"shard_stats,omitempty"`
-	ShardTimings [][]FaultTiming  `json:"shard_timings,omitempty"`
-	OpHists      []HistogramState `json:"op_hists,omitempty"`
-	Recovery     *RecoverySnap    `json:"recovery,omitempty"`
-	Profiler     *ProfilerSnap    `json:"profiler,omitempty"`
+	OpHists    []HistogramState `json:"op_hists,omitempty"`
+	Recovery   *RecoverySnap    `json:"recovery,omitempty"`
+	Profiler   *ProfilerSnap    `json:"profiler,omitempty"`
 }
 
 // CaptureState serializes the DSM at a safe point, or explains why the
@@ -204,15 +197,6 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		Alloc:      d.alloc.Capture(),
 		Stats:      d.Stats(),
 		NodeFaults: append([]int64(nil), d.nodeFaults...),
-	}
-	if len(d.statsSh) > 1 {
-		s.ShardStats = append([]Stats(nil), d.statsSh...)
-		s.ShardTimings = make([][]FaultTiming, len(d.timingsSh))
-		for sh := range d.timingsSh {
-			for _, ft := range d.timingsSh[sh].All() {
-				s.ShardTimings[sh] = append(s.ShardTimings[sh], *ft)
-			}
-		}
 	}
 	if d.defProto >= 0 {
 		s.DefProto = d.registry.Name(d.defProto)
@@ -233,7 +217,7 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		s.Protocols = append(s.Protocols, ps)
 	}
 	for _, pg := range d.sortedPages() {
-		pi, _ := d.dir.get(pg)
+		pi, _ := d.dir[pg]
 		s.Pages = append(s.Pages, PageAllocState{
 			Page: uint64(pg), Home: pi.home, Proto: d.registry.Name(pi.proto),
 		})
@@ -267,8 +251,8 @@ func (d *DSM) CaptureState() (*CoreState, error) {
 		sort.Ints(snap.Arrived)
 		s.Barriers = append(s.Barriers, snap)
 	}
-	// On a sharded machine a barrier can look idle at its home while a leader
-	// still holds an un-carried batch or an in-flight combine — reject those
+	// With tree barriers a barrier can look idle at its home while a leader
+	// still holds an un-carried batch or parked members — reject those
 	// mid-combine moments too.
 	if err := d.TreeBarrierResidue(); err != nil {
 		return nil, err
@@ -414,13 +398,13 @@ func (d *DSM) RestoreState(s *CoreState) error {
 		return err
 	}
 	d.batch = s.Batch
-	d.dir.reset()
+	clear(d.dir)
 	for _, pa := range s.Pages {
 		id, err := d.lookupProto(pa.Proto)
 		if err != nil {
 			return err
 		}
-		d.dir.set(Page(pa.Page), pageInfo{home: pa.Home, proto: id})
+		d.dir[Page(pa.Page)] = pageInfo{home: pa.Home, proto: id}
 	}
 	if s.DefProto != "" {
 		id, err := d.lookupProto(s.DefProto)
@@ -512,29 +496,11 @@ func (d *DSM) RestoreState(s *CoreState) error {
 			attr: &Attr{Protocol: id, Home: oa.Home},
 		}
 	}
-	// Counter/timing state: a snapshot carrying per-shard blocks restores
-	// them exactly when the shard counts match; anything else (a legacy
-	// single-loop snapshot, or a restore onto a machine with a different
-	// shard count) folds the aggregate into shard 0 — the totals every
-	// reader observes through Stats()/Timings() are identical either way.
-	for i := range d.statsSh {
-		d.statsSh[i] = Stats{}
-		d.timingsSh[i] = TimingLog{}
-	}
-	if len(s.ShardStats) == len(d.statsSh) && len(s.ShardTimings) == len(d.timingsSh) && len(d.statsSh) > 1 {
-		copy(d.statsSh, s.ShardStats)
-		for sh := range s.ShardTimings {
-			for i := range s.ShardTimings[sh] {
-				ft := s.ShardTimings[sh][i]
-				d.timingsSh[sh].Add(&ft)
-			}
-		}
-	} else {
-		d.statsSh[0] = s.Stats
-		for i := range s.Timings {
-			ft := s.Timings[i]
-			d.timingsSh[0].Add(&ft)
-		}
+	d.stats = s.Stats
+	d.timings = TimingLog{}
+	for i := range s.Timings {
+		ft := s.Timings[i]
+		d.timings.Add(&ft)
 	}
 	if len(s.NodeFaults) == len(d.nodeFaults) {
 		copy(d.nodeFaults, s.NodeFaults)

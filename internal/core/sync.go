@@ -104,7 +104,7 @@ func (d *DSM) BindLock(id int, base Addr, size int) {
 	last := space.PageOf(base + Addr(size-1))
 	ls := d.locks[id]
 	for pg := first; pg <= last; pg++ {
-		if _, ok := d.dir.get(pg); !ok {
+		if _, ok := d.dir[pg]; !ok {
 			panic(fmt.Sprintf("core: binding unallocated page %d to lock %d", pg, id))
 		}
 		ls.bound = append(ls.bound, pg)
@@ -274,9 +274,6 @@ func (d *DSM) registerSyncServices() {
 			return grantReply(g)
 		})
 
-		if d.tree != nil {
-			d.registerTreeBarServices(node)
-		}
 		d.registerCondServices(node)
 	}
 }
@@ -321,7 +318,7 @@ func (d *DSM) Acquire(t *pm2.Thread, id int) {
 	if id < 0 || id >= len(d.locks) {
 		panic(fmt.Sprintf("core: acquire of unknown lock %d", id))
 	}
-	d.st(t.Node()).Acquires++
+	d.stats.Acquires++
 	t.Call(d.locks[id].home, svcLockAcq, &lockReq{id: id, from: t.Node()}, ctrlBytes, ctrlBytes)
 	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id}
 	d.eachInstance(func(p Protocol) { p.LockAcquire(ev) })
@@ -333,7 +330,7 @@ func (d *DSM) Release(t *pm2.Thread, id int) {
 	if id < 0 || id >= len(d.locks) {
 		panic(fmt.Sprintf("core: release of unknown lock %d", id))
 	}
-	d.st(t.Node()).Releases++
+	d.stats.Releases++
 	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id}
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	res := t.Call(d.locks[id].home, svcLockRel, &lockReq{id: id, from: t.Node()}, ctrlBytes, ctrlBytes)
@@ -362,7 +359,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	if id < 0 || id >= len(d.barriers) {
 		panic(fmt.Sprintf("core: wait on unknown barrier %d", id))
 	}
-	d.st(t.Node()).Barriers++
+	d.stats.Barriers++
 	ev := &SyncEvent{DSM: d, Thread: t, Node: t.Node(), Lock: id, Barrier: true}
 	d.eachInstance(func(p Protocol) { p.LockRelease(ev) })
 	// The release hooks above may have queued write notices; they ride the
@@ -371,7 +368,7 @@ func (d *DSM) BarrierAs(t *pm2.Thread, id, participant, gen int) {
 	// zero extra round trips.
 	var res interface{}
 	if d.useTree(d.barriers[id]) {
-		// Sharded machine, cluster-wide barrier, no crash recovery: combine
+		// Tree barriers on, cluster-wide barrier, no crash recovery: combine
 		// arrivals through the cluster tree instead of funneling every node
 		// to the manager (see treebar.go). Participant identity and
 		// generation are crash-recovery machinery and are ignored — with

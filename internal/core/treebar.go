@@ -7,26 +7,24 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-// Combining-tree barriers for sharded machines. The flat barrier of sync.go
-// funnels every arrival to one manager node: N blocking RPCs converge on node
-// 0, and on a hierarchical network most of them cross the backbone. When the
-// event loop is sharded (one loop per topology cluster, see pm2.Runtime),
-// arrivals instead combine hierarchically: every node reports to its
-// cluster's leader, leaders fold batches of arrivals upward through a
-// fan-in-barFanIn tree of clusters, and the root — node 0, the same node that
-// manages the flat barrier — releases the generation by relaying the grant
-// back down the tree. The backbone then carries O(log S) envelopes per
-// generation (S = shard count) instead of O(N), while intra-cluster arrivals
-// stay on intra-cluster links.
+// Combining-tree barriers. The flat barrier of sync.go funnels every arrival
+// to one manager node: N blocking RPCs converge on node 0, and on a
+// hierarchical network most of them cross the backbone. With tree barriers
+// enabled (EnableTreeBarrier), arrivals instead combine hierarchically: every
+// node reports to its cluster's leader, leaders fold batches of arrivals
+// upward through a fan-in-barFanIn tree of clusters, and the root — node 0,
+// the same node that manages the flat barrier — releases the generation by
+// relaying the grant back down the tree. The backbone then carries O(log C)
+// envelopes per generation (C = cluster count) instead of O(N), while
+// intra-cluster arrivals stay on intra-cluster links.
 //
-// Determinism. All state of a leader lives on that leader's node, so the
-// shard's event loop host-serializes every update; the fold at each level is
-// order-insensitive (a count, a NodeSet union, and a notice multiset that the
-// root canonicalizes exactly as the flat barrier does); and the root replays
-// the flat barrier's completion logic verbatim. Whatever order the host
-// interleaves shards in, the generation completes with the same canonical
-// grant, so the tree barrier is bit-compatible with the flat one at the level
-// of observable DSM state.
+// Determinism. All state of a leader lives on that leader's node; the fold
+// at each level is order-insensitive (a count, a NodeSet union, and a notice
+// multiset that the root canonicalizes exactly as the flat barrier does); and
+// the root replays the flat barrier's completion logic verbatim. Whatever
+// order arrivals reach the leaders in, the generation completes with the same
+// canonical grant, so the tree barrier is bit-compatible with the flat one at
+// the level of observable DSM state.
 //
 // The tree is used only when crash recovery is off: participant takeover and
 // stale-generation re-arrival are crash-recovery machinery, and recovery's
@@ -43,50 +41,56 @@ const (
 	svcBarGrant   = "dsm.barrier.grant"
 )
 
-// barTree is the static shape of the combining tree, built once at New when
-// the runtime is sharded: one leader per event-loop shard (its lowest node
-// id), linked parent(i) = (i-1)/barFanIn over shard indices. The root leader
-// is shard 0's, which is node 0 — the flat barrier's manager — so barrier
-// state (generation counters, profiler epochs) lives on the same node either
-// way.
+// barTree is the static shape of the combining tree: one leader per cluster
+// (its lowest node id), clusters indexed in leader order and linked
+// parent(i) = (i-1)/barFanIn. The root leader is node 0 — the flat barrier's
+// manager — so barrier state (generation counters, profiler epochs) lives on
+// the same node either way.
 type barTree struct {
-	leaders  []int   // shard index -> leader node id
-	leaderOf []int   // node id -> its cluster's leader node id
-	parent   []int   // shard index -> parent shard index, -1 at the root
-	children [][]int // shard index -> child shard indices, ascending
+	leaders  []int   // tree index -> leader node id
+	index    []int   // node id -> its cluster's tree index
+	parent   []int   // tree index -> parent tree index, -1 at the root
+	children [][]int // tree index -> child tree indices, ascending
 }
 
-// newBarTree derives the tree from the runtime's node->shard map.
-func newBarTree(rt *pm2.Runtime) *barTree {
-	shards := rt.Shards()
-	t := &barTree{
-		leaders:  make([]int, shards),
-		leaderOf: make([]int, rt.Nodes()),
-		parent:   make([]int, shards),
-		children: make([][]int, shards),
-	}
-	for s := range t.leaders {
-		t.leaders[s] = -1
-	}
-	for n := 0; n < rt.Nodes(); n++ {
-		s := rt.ShardOf(n)
-		if t.leaders[s] < 0 || n < t.leaders[s] {
-			t.leaders[s] = n
+// newBarTree derives the tree from a node -> cluster assignment.
+func newBarTree(clusterOf []int) *barTree {
+	t := &barTree{index: make([]int, len(clusterOf))}
+	idx := map[int]int{} // cluster id -> tree index
+	for n, c := range clusterOf {
+		i, ok := idx[c]
+		if !ok {
+			i = len(t.leaders)
+			idx[c] = i
+			t.leaders = append(t.leaders, n)
 		}
+		t.index[n] = i
 	}
-	for n := 0; n < rt.Nodes(); n++ {
-		t.leaderOf[n] = t.leaders[rt.ShardOf(n)]
-	}
-	for s := 0; s < shards; s++ {
-		if s == 0 {
-			t.parent[s] = -1
-			continue
-		}
-		p := (s - 1) / barFanIn
-		t.parent[s] = p
-		t.children[p] = append(t.children[p], s)
+	t.parent = make([]int, len(t.leaders))
+	t.children = make([][]int, len(t.leaders))
+	t.parent[0] = -1
+	for i := 1; i < len(t.leaders); i++ {
+		p := (i - 1) / barFanIn
+		t.parent[i] = p
+		t.children[p] = append(t.children[p], i)
 	}
 	return t
+}
+
+// EnableTreeBarrier routes cluster-wide barriers through a combining tree
+// over the given clusters (clusterOf[n] is node n's cluster id). Call it
+// once, before Run.
+func (d *DSM) EnableTreeBarrier(clusterOf []int) {
+	if len(clusterOf) != d.rt.Nodes() {
+		panic(fmt.Sprintf("core: tree barrier over %d nodes on a %d-node machine", len(clusterOf), d.rt.Nodes()))
+	}
+	if d.tree != nil {
+		panic("core: EnableTreeBarrier called twice")
+	}
+	d.tree = newBarTree(clusterOf)
+	for n := 0; n < d.rt.Nodes(); n++ {
+		d.registerTreeBarServices(d.rt.Node(n))
+	}
 }
 
 // treeBarLocal is one leader's accumulator for one barrier. pending counts
@@ -128,7 +132,7 @@ type treeGrantMsg struct {
 
 // useTree reports whether barrier bs routes through the combining tree. The
 // gate is per barrier but constant over a run, so every arrival of a given
-// barrier takes the same path: the machine must be sharded, crash recovery
+// barrier takes the same path: tree barriers must be enabled, crash recovery
 // must be off (takeover and death bookkeeping are flat-barrier machinery),
 // and the barrier must be cluster-wide — subset barriers stay flat, where the
 // arrival count alone decides completion.
@@ -137,8 +141,7 @@ func (d *DSM) useTree(bs *barrierState) bool {
 }
 
 // treebar returns (creating on first use) leader's accumulator for barrier
-// id. Only ever called from handlers running on leader's node, so the shard's
-// event loop serializes access.
+// id. Only ever called from handlers running on leader's node.
 func (d *DSM) treebar(leader, id int) *treeBarLocal {
 	ns := d.state[leader]
 	if ns.treebar == nil {
@@ -154,12 +157,12 @@ func (d *DSM) treebar(leader, id int) *treeBarLocal {
 
 // registerTreeBarServices installs the tree-barrier services on node (a
 // no-op role-wise on non-leader nodes; registration is uniform so the service
-// table does not depend on the shard map).
+// table does not depend on the cluster map).
 func (d *DSM) registerTreeBarServices(node *pm2.Node) {
 	node.Register(svcBarArrive, true, func(h *pm2.Thread, arg interface{}) interface{} {
 		m := arg.(*treeArriveMsg)
 		leader := h.Node()
-		if d.tree.leaders[d.rt.ShardOf(leader)] != leader {
+		if d.tree.leaders[d.tree.index[leader]] != leader {
 			panic(fmt.Sprintf("core: tree-barrier arrival at non-leader node %d", leader))
 		}
 		if leader == d.tree.leaders[0] {
@@ -217,8 +220,7 @@ func (d *DSM) treeCarry(h *pm2.Thread, id int, tb *treeBarLocal) {
 		return
 	}
 	tb.inFlight = true
-	shard := d.rt.ShardOf(h.Node())
-	parent := d.tree.leaders[d.tree.parent[shard]]
+	parent := d.tree.leaders[d.tree.parent[d.tree.index[h.Node()]]]
 	for tb.pending > 0 {
 		m := &treeCombineMsg{
 			id:      id,
@@ -301,12 +303,11 @@ func (d *DSM) treeRootFold(h *pm2.Thread, id, count int, nodes NodeSet, notices 
 
 // treeGrantDown delivers a generation's grant at a leader: relay it to the
 // leader's tree children, then wake every member parked here. Both steps are
-// non-blocking, so the whole relay is one atomic event on this shard — a
-// member's next-generation arrival cannot interleave with it.
+// non-blocking, so the whole relay is one atomic event — a member's
+// next-generation arrival cannot interleave with it.
 func (d *DSM) treeGrantDown(h *pm2.Thread, id int, grant *barrierGrant) {
 	leader := h.Node()
-	shard := d.rt.ShardOf(leader)
-	for _, s := range d.tree.children[shard] {
+	for _, s := range d.tree.children[d.tree.index[leader]] {
 		h.Async(d.tree.leaders[s], svcBarGrant, &treeGrantMsg{id: id, grant: grant},
 			ctrlBytes+noticeBytes*(len(grant.notices)+len(grant.migrations)))
 	}
@@ -322,7 +323,7 @@ func (d *DSM) treeGrantDown(h *pm2.Thread, id int, grant *barrierGrant) {
 // notices) to the cluster leader and block for the grant. The reply protocol
 // matches the flat barrier's, so BarrierAs applies the grant identically.
 func (d *DSM) treeBarrierArrive(t *pm2.Thread, id int, notices []WriteNotice) interface{} {
-	leader := d.tree.leaderOf[t.Node()]
+	leader := d.tree.leaders[d.tree.index[t.Node()]]
 	m := &treeArriveMsg{id: id, from: t.Node(), notices: notices}
 	return t.Call(leader, svcBarArrive, m,
 		ctrlBytes+noticeBytes*len(notices), ctrlBytes)

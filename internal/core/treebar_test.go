@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"dsmpm2/internal/madeleine"
@@ -9,17 +10,21 @@ import (
 	"dsmpm2/internal/sim"
 )
 
-func newShardedDSM(nodes, shards int) *DSM {
+// newTreeDSM builds a DSM whose barriers combine over clusters equal
+// contiguous clusters.
+func newTreeDSM(nodes, clusters int) *DSM {
 	rt := pm2.NewRuntime(pm2.Config{
-		Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1, Shards: shards,
+		Nodes: nodes, Network: madeleine.BIPMyrinet, Seed: 1,
 	})
-	return New(rt, NewRegistry(), DefaultCosts())
+	d := New(rt, NewRegistry(), DefaultCosts())
+	d.EnableTreeBarrier(madeleine.EvenClusters(nodes, clusters))
+	return d
 }
 
 func TestBarTreeShape(t *testing.T) {
-	d := newShardedDSM(16, 4)
+	d := newTreeDSM(16, 4)
 	if d.tree == nil {
-		t.Fatal("sharded DSM built no combining tree")
+		t.Fatal("EnableTreeBarrier built no combining tree")
 	}
 	wantLeaders := []int{0, 4, 8, 12}
 	for s, want := range wantLeaders {
@@ -39,22 +44,28 @@ func TestBarTreeShape(t *testing.T) {
 		t.Errorf("children[0] = %s, want %s", got, want)
 	}
 	for n := 0; n < 16; n++ {
-		if got, want := d.tree.leaderOf[n], (n/4)*4; got != want {
-			t.Errorf("leaderOf[%d] = %d, want %d", n, got, want)
+		if got, want := d.tree.leaders[d.tree.index[n]], (n/4)*4; got != want {
+			t.Errorf("leader of node %d = %d, want %d", n, got, want)
 		}
 	}
-	// Deeper tree: with 8 shards, shards 1-4 hang off the root and 5-7 off
-	// shard 1 (fan-in 4 over shard indices).
-	d8 := newShardedDSM(16, 8)
+	// Deeper tree: with 8 clusters, clusters 1-4 hang off the root and 5-7
+	// off cluster 1 (fan-in 4 over tree indices).
+	d8 := newTreeDSM(16, 8)
 	if got, want := fmt.Sprint(d8.tree.children[0]), "[1 2 3 4]"; got != want {
-		t.Errorf("8-shard children[0] = %s, want %s", got, want)
+		t.Errorf("8-cluster children[0] = %s, want %s", got, want)
 	}
 	if got, want := fmt.Sprint(d8.tree.children[1]), "[5 6 7]"; got != want {
-		t.Errorf("8-shard children[1] = %s, want %s", got, want)
+		t.Errorf("8-cluster children[1] = %s, want %s", got, want)
 	}
-	// Single-loop machines build no tree and stay on the flat barrier.
+	// Clusters are indexed in leader order, whatever their ids: the root is
+	// always node 0's cluster.
+	odd := newBarTree([]int{5, 2, 5, 2, 9})
+	if got, want := fmt.Sprint(odd.leaders, odd.index), "[0 1 4] [0 1 0 1 2]"; got != want {
+		t.Errorf("leaders, index = %s, want %s", got, want)
+	}
+	// Without EnableTreeBarrier there is no tree and barriers stay flat.
 	if newDSM(4).tree != nil {
-		t.Error("single-loop DSM built a combining tree")
+		t.Error("default DSM built a combining tree")
 	}
 }
 
@@ -68,11 +79,11 @@ func TestBarTreeShape(t *testing.T) {
 func TestTreeBarrierShuffledArrivals(t *testing.T) {
 	const nodes, gens = 8, 5
 	for perm := 0; perm < 4; perm++ {
-		d := newShardedDSM(nodes, 4)
+		d := newTreeDSM(nodes, 4)
 		rt := d.Runtime()
 		id := d.NewBarrier(nodes)
 		if !d.useTree(d.barriers[id]) {
-			t.Fatal("cluster-wide barrier on a sharded machine did not route through the tree")
+			t.Fatal("cluster-wide barrier did not route through the tree")
 		}
 		counts := make([]int, nodes)
 		errs := make([]error, nodes)
@@ -120,18 +131,19 @@ func TestTreeBarrierShuffledArrivals(t *testing.T) {
 	}
 }
 
-// TestSubsetBarrierStaysFlatUnderSharding: a barrier with fewer participants
-// than nodes cannot combine per cluster (completion depends on the arrival
-// count alone), so it must keep the flat path — and still work across shards.
-func TestSubsetBarrierStaysFlatUnderSharding(t *testing.T) {
-	d := newShardedDSM(8, 4)
+// TestSubsetBarrierStaysFlatUnderTreeBarrier: a barrier with fewer
+// participants than nodes cannot combine per cluster (completion depends on
+// the arrival count alone), so it must keep the flat path — and still work
+// across clusters.
+func TestSubsetBarrierStaysFlatUnderTreeBarrier(t *testing.T) {
+	d := newTreeDSM(8, 4)
 	rt := d.Runtime()
 	id := d.NewBarrier(3)
 	if d.useTree(d.barriers[id]) {
 		t.Fatal("subset barrier routed through the tree")
 	}
 	done := make([]bool, 8)
-	for _, n := range []int{0, 3, 7} { // one per distant shard
+	for _, n := range []int{0, 3, 7} { // one per distant cluster
 		n := n
 		rt.CreateThread(n, fmt.Sprintf("s%d", n), func(th *pm2.Thread) {
 			d.Barrier(th, id)
@@ -149,4 +161,28 @@ func TestSubsetBarrierStaysFlatUnderSharding(t *testing.T) {
 	if d.BarrierGen(id) != 1 {
 		t.Fatalf("generation %d, want 1", d.BarrierGen(id))
 	}
+}
+
+// TestTreeBarrierResidueMidCombine: members parked at a non-root leader are
+// in-flight combining state with no serializable form, so TreeBarrierResidue
+// names the barrier and leader and a capture at that moment is rejected.
+func TestTreeBarrierResidueMidCombine(t *testing.T) {
+	d := newTreeDSM(8, 4)
+	rt := d.Runtime()
+	id := d.NewBarrier(8)
+	for _, n := range []int{2, 3} { // cluster 1 only: the generation never completes
+		n := n
+		rt.CreateThread(n, fmt.Sprintf("m%d", n), func(th *pm2.Thread) { d.Barrier(th, id) })
+	}
+	if _, ok := rt.Run().(*sim.DeadlockError); !ok {
+		t.Fatal("half a barrier generation did not deadlock")
+	}
+	err := d.TreeBarrierResidue()
+	if err == nil || !strings.Contains(err.Error(), "mid-combine at leader node 2") {
+		t.Fatalf("residue = %v, want barrier %d mid-combine at leader node 2", err, id)
+	}
+	if _, err := d.CaptureState(); err == nil {
+		t.Fatal("capture accepted a mid-combine tree barrier")
+	}
+	rt.Close()
 }

@@ -272,34 +272,56 @@ func TestLinkContentionOffUnchanged(t *testing.T) {
 	}
 }
 
-// TestNICAndLinkModelsCompose: with both occupancy models on, a message
-// holds its NIC until it has actually transmitted — a send to a different
-// destination queues behind the full transmit, not behind a stale NIC stamp.
-func TestNICAndLinkModelsCompose(t *testing.T) {
+// TestLinkContentionIndependentSenders: two senders converging on one
+// receiver use different directed links, so they do not serialize.
+func TestLinkContentionIndependentSenders(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := NewNetwork(eng, BIPMyrinet, 3)
-	nw.SetNICModel(true)
 	nw.SetLinkContention(true)
-	arrivals := map[int]sim.Time{}
-	recv := func(node int) {
-		eng.Go("recv", func(p *sim.Proc) {
-			nw.Recv(p, node, "ch")
-			arrivals[node] = p.Now()
-		})
-	}
-	recv(1)
-	recv(2)
+	var arrivals []sim.Time
+	eng.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			nw.Recv(p, 2, "ch")
+			arrivals = append(arrivals, p.Now())
+		}
+	})
 	eng.Go("send", func(p *sim.Proc) {
-		nw.SendBulk(0, 1, "ch", 4096, nil)
-		nw.SendBulk(0, 2, "ch", 4096, nil) // same NIC, different link
+		nw.SendBulk(0, 2, "ch", 4096, nil)
+		nw.SendBulk(1, 2, "ch", 4096, nil) // different link: no queueing
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	gap := arrivals[2].Sub(arrivals[1])
-	tx := sim.Duration(4096 * BIPMyrinet.PerByte)
-	if gap < tx-sim.Microsecond || gap > tx+sim.Microsecond {
-		t.Fatalf("NIC gap with both models = %v, want one 4KiB byte time (~%v)", gap, tx)
+	if arrivals[0] != arrivals[1] {
+		t.Fatalf("different senders must not serialize: %v", arrivals)
+	}
+}
+
+// TestLinkContentionControlMessagesCheap: a burst of control messages on one
+// link occupies it for only 64 bytes each, so the added delay stays tiny
+// compared to the base latency.
+func TestLinkContentionControlMessagesCheap(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := NewNetwork(eng, SISCISCI, 2)
+	nw.SetLinkContention(true)
+	var arrivals []sim.Time
+	eng.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			nw.Recv(p, 1, "ch")
+			arrivals = append(arrivals, p.Now())
+		}
+	})
+	eng.Go("send", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			nw.SendCtrl(0, 1, "ch", nil)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	spread := arrivals[9].Sub(arrivals[0])
+	if spread > sim.Duration(10*64*SISCISCI.PerByte)+sim.Microsecond {
+		t.Fatalf("control messages over-serialized: spread %v", spread)
 	}
 }
 

@@ -43,9 +43,6 @@ func (t *Thread) checkPreempt() {
 // Load reports the number of live application threads currently located on
 // node — the balancer's load measure.
 func (rt *Runtime) Load(node int) int {
-	if rt.se != nil {
-		panic("pm2: Load walks every shard's threads; not supported on a sharded machine")
-	}
 	n := 0
 	for _, t := range rt.threads {
 		if !t.done && !t.proc.Daemon() && t.node == node {
@@ -74,12 +71,6 @@ type Balancer struct {
 // threads left (so simulations terminate); start it after spawning the
 // workers it should balance.
 func (rt *Runtime) StartBalancer(interval sim.Duration) *Balancer {
-	if rt.se != nil {
-		// The balancer samples every node's load and moves threads between
-		// arbitrary nodes — both cross-shard operations. Sharded machines
-		// balance within the application (or not at all).
-		panic("pm2: the load balancer is not supported on a sharded machine")
-	}
 	if interval <= 0 {
 		interval = sim.Millisecond
 	}

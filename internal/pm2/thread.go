@@ -61,33 +61,17 @@ func (rt *Runtime) CreateThreadStack(node int, name string, stack int, fn func(t
 	}
 	n := rt.Node(node)
 	n.checkAlive("CreateThread") // validate
-	// Thread ids are handed out per shard (stride = shard count) so a
-	// sharded machine's ids are deterministic regardless of how the shards
-	// interleave in wall time; with one shard this is the historical
-	// 1,2,3,... sequence.
-	shard := rt.ShardOf(node)
-	stride := len(rt.shardNext)
-	id := rt.shardNext[shard]*stride + shard + 1
-	rt.shardNext[shard]++
+	rt.nextID++
 	t := &Thread{
 		rt:          rt,
-		id:          id,
+		id:          rt.nextID,
 		name:        name,
 		node:        node,
 		stackSize:   stack,
 		pendingDest: -1,
 	}
-	if rt.se != nil {
-		rt.thMu.Lock()
-		rt.threads = append(rt.threads, t)
-		rt.thMu.Unlock()
-		// The node-local list drives sharded KillNode; it only ever
-		// changes from the owning shard's context.
-		n.threads = append(n.threads, t)
-	} else {
-		rt.threads = append(rt.threads, t)
-	}
-	t.proc = rt.engFor(node).Go(name, func(p *sim.Proc) {
+	rt.threads = append(rt.threads, t)
+	t.proc = rt.eng.Go(name, func(p *sim.Proc) {
 		fn(t)
 		t.done = true
 		for _, j := range t.joiners {
@@ -176,16 +160,6 @@ func (t *Thread) MigrateTo(dest int) {
 	}
 	t.rt.Node(dest) // validate
 	src := t.node
-	if t.rt.se != nil {
-		if t.rt.nodeShard[src] != t.rt.nodeShard[dest] {
-			// The thread's goroutine is wired to its shard's event loop;
-			// re-homing it would move a running proc between calendars.
-			panic(fmt.Sprintf("pm2: thread %q cannot migrate %d->%d across shards (%d->%d)",
-				t.name, src, dest, t.rt.nodeShard[src], t.rt.nodeShard[dest]))
-		}
-		t.rt.nodes[src].dropThread(t)
-		t.rt.nodes[dest].threads = append(t.rt.nodes[dest].threads, t)
-	}
 	cost := t.rt.Link(src, dest).Migration(t.stackSize + DescriptorBytes)
 	t.proc.Advance(cost)
 	t.node = dest

@@ -128,7 +128,7 @@ func TestCloseUnwindsParkedBodies(t *testing.T) {
 }
 
 // TestCloseIdempotentAndRunRefused: a second Close is a no-op and Run on a
-// closed engine (plain or sharded) returns ErrClosed instead of hanging.
+// closed engine returns ErrClosed instead of hanging.
 func TestCloseIdempotentAndRunRefused(t *testing.T) {
 	e := NewEngine(1)
 	e.Go("w", func(p *Proc) { p.Advance(Microsecond) })
@@ -144,17 +144,6 @@ func TestCloseIdempotentAndRunRefused(t *testing.T) {
 	e.Go("late", func(p *Proc) {})
 	if err := e.Run(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Run after Close = %v, want ErrClosed", err)
-	}
-
-	se := NewShardedEngine(1, 2, Microsecond)
-	se.Shard(1).Go("w", func(p *Proc) { p.Advance(Microsecond) })
-	if err := se.Run(); err != nil {
-		t.Fatal(err)
-	}
-	se.Close()
-	se.Close()
-	if err := se.Run(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sharded Run after Close = %v, want ErrClosed", err)
 	}
 }
 

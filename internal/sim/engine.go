@@ -87,13 +87,6 @@ type Engine struct {
 	carriers []*carrier // every carrier goroutine started, in start order
 	idle     []*carrier // carriers with no bound proc, most recent last
 	closed   bool
-
-	// sh is non-nil when this engine is one shard of a multi-shard
-	// ShardedEngine (see shard.go); it carries the shard's horizon bound
-	// and the cross-shard pending heap. A standalone engine (and the
-	// single shard of a one-shard ShardedEngine) has sh == nil and takes
-	// the legacy code paths bit-for-bit.
-	sh *shardCtl
 }
 
 // NewEngine creates an engine whose random source is seeded with seed, so
@@ -273,9 +266,6 @@ func (d *DeadlockError) Error() string {
 // scheduler goroutine — at simulation scale the context switches are the
 // kernel's largest remaining cost, and this halves them.
 func (e *Engine) Run() error {
-	if e.sh != nil {
-		panic("sim: Run called on one shard of a sharded engine; use ShardedEngine.Run")
-	}
 	if e.closed {
 		return ErrClosed
 	}
@@ -325,9 +315,6 @@ const (
 // short-circuit a wake for itself instead of deadlocking on its own wake
 // channel.
 func (e *Engine) drive(self *carrier) driveResult {
-	if e.sh != nil {
-		return e.driveSharded(self)
-	}
 	for !e.stopped {
 		if e.nqueued == 0 {
 			// Queue drained with procs still live: give the idle hook
@@ -377,15 +364,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // SetIdleHook installs fn, called whenever the queue drains while procs are
 // still live. Returning true continues (fn must have scheduled new events);
 // returning false stops the run. Used by drivers that feed external work in.
-// Idle hooks are a single-loop concept and are not supported on the shards
-// of a sharded engine (shard-local quiescence is a synchronization point,
-// not the end of the run).
-func (e *Engine) SetIdleHook(fn func() bool) {
-	if e.sh != nil {
-		panic("sim: idle hooks are not supported on sharded engines")
-	}
-	e.onIdle = fn
-}
+func (e *Engine) SetIdleHook(fn func() bool) { e.onIdle = fn }
 
 // Live reports the number of procs that have been spawned and not finished.
 func (e *Engine) Live() int { return e.nlive }

@@ -17,11 +17,7 @@ type Thread struct {
 	th  *pm2.Thread
 }
 
-// span wraps op in a trace record when tracing is on. On a sharded machine
-// the span goes to the recording shard's private log — the shard that owns
-// the thread's node, which is exactly the event-loop goroutine running this
-// code (threads never migrate across shards), so no two goroutines ever
-// append to the same slice.
+// span wraps op in a trace record when tracing is on.
 func (t *Thread) span(name string, op func()) {
 	tr := t.sys.tr
 	if !tr.Enabled() {
@@ -30,18 +26,13 @@ func (t *Thread) span(name string, op func()) {
 	}
 	start := t.th.Now()
 	op()
-	sp := trace.Span{
+	tr.Add(trace.Span{
 		Name:   name,
 		Node:   t.th.Node(),
 		Thread: t.th.Name(),
 		Start:  start,
 		End:    t.th.Now(),
-	}
-	if rt := t.sys.rt; rt.Sharded() {
-		tr.AddShard(rt.ShardOf(sp.Node), sp)
-	} else {
-		tr.Add(sp)
-	}
+	})
 }
 
 // Node returns the node the thread currently runs on.
