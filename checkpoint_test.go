@@ -51,6 +51,29 @@ func finishFingerprint(t *testing.T, s *jacobi.Session) (string, float64) {
 	return fp, res.Checksum
 }
 
+// TestSessionKeepsTrace: NewSession honours Config.Trace, and recording
+// spans leaves the deterministic schedule untouched — the traced session's
+// fingerprint and checksum equal the untraced one's.
+func TestSessionKeepsTrace(t *testing.T) {
+	plain := runSession(t, sessionConfig(), 0)
+	defer plain.Close()
+	cfg := sessionConfig()
+	cfg.Trace = true
+	traced := runSession(t, cfg, 0)
+	defer traced.Close()
+	if plain.System().Trace() != nil {
+		t.Error("untraced session has a trace log")
+	}
+	fp, sum := finishFingerprint(t, plain)
+	tfp, tsum := finishFingerprint(t, traced)
+	if tr := traced.System().Trace(); tr == nil || tr.Len() == 0 {
+		t.Fatal("traced session recorded no spans: Config.Trace was dropped")
+	}
+	if tfp != fp || tsum != sum {
+		t.Errorf("tracing changed the run: fingerprint %s vs %s, checksum %v vs %v", tfp, fp, tsum, sum)
+	}
+}
+
 // TestCheckpointRoundTripSweep is the subsystem's core property: snapshot at
 // step k, restore into a fresh system, run to the end — the trace
 // fingerprint must be bit-identical to the unbroken run's, for every k in
@@ -189,7 +212,7 @@ func faultyPlan() *dsmpm2.FaultPlan {
 }
 
 // TestCheckpointMidFaultPlan sweeps the round-trip property across a run
-// with a fault plan injected through the resumable cursor: checkpoints land
+// with a fault plan injected through the fault cursor: checkpoints land
 // before the crash, while node 2 is dead, and after its restart, and every
 // restored run must replay the rest of the plan bit-identically.
 func TestCheckpointMidFaultPlan(t *testing.T) {
@@ -302,5 +325,26 @@ func TestCheckpointRejectsUnsafePoint(t *testing.T) {
 	<-done
 	if _, err := sys.Checkpoint(nil); err != nil {
 		t.Fatalf("checkpoint at a drained safe point failed: %v", err)
+	}
+}
+
+// TestCheckpointAfterInjectFaults: injection queues no event outside a Run,
+// so a drained system stays checkpointable right after InjectFaults, and
+// the snapshot records the whole plan as still pending.
+func TestCheckpointAfterInjectFaults(t *testing.T) {
+	sys := dsmpm2.MustNew(dsmpm2.Config{Nodes: 4, Protocol: "hbrc_mw", Seed: 3})
+	defer sys.Close()
+	if err := sys.Run(); err != nil { // drain the daemons New spawned
+		t.Fatalf("run: %v", err)
+	}
+	if err := sys.InjectFaults(faultyPlan(), dsmpm2.FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := sys.Checkpoint(nil)
+	if err != nil {
+		t.Fatalf("checkpoint right after InjectFaults: %v", err)
+	}
+	if ck.Cursor == nil || ck.Cursor.Next != 0 || len(ck.Cursor.Plan.Events) != 6 {
+		t.Fatalf("checkpoint cursor = %+v, want the 6-event plan at position 0", ck.Cursor)
 	}
 }

@@ -65,8 +65,9 @@
 // and what the fault and recovery layers did. The plan comes from
 // -faultplan (a JSON file), from -mtbf/-repair (a generated exponential
 // failure schedule, deterministic per -faultseed), or defaults to a pinned
-// two-crash demo. With -json the per-protocol results are printed as a JSON
-// document instead of a table, e.g.
+// two-crash demo. It exits 1 when a protocol's run errors, or answers
+// wrongly without reporting a lost page. With -json the per-protocol results
+// are printed as a JSON document instead of a table, e.g.
 //
 //	dsmbench -exp faults -nodes 16 -clusters 2 -mtbf 10 -repair 3 -json
 //
@@ -89,6 +90,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -610,6 +612,26 @@ func multicluster(topology string, nodes, clusters int, intraName, interName str
 	fmt.Println(" portability claim extended to heterogeneous clusters)")
 }
 
+// writeSnapshot writes v, one experiment's BENCH_*.json document, to file
+// as indented JSON.
+func writeSnapshot(file string, v any) error {
+	f, err := os.Create(file)
+	if err != nil {
+		return fmt.Errorf("-json: %w", err)
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return fmt.Errorf("-json: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("-json: %w", err)
+	}
+	fmt.Printf("wrote %s\n", file)
+	return nil
+}
+
 // benchKernelFile is the perf-trajectory snapshot the kernel experiment
 // writes with -json.
 const benchKernelFile = "BENCH_kernel.json"
@@ -656,18 +678,7 @@ func kernel(writeJSON bool) error {
 		return nil
 	}
 	snap := kernelSnapshot{Experiment: "kernel", Host: bench.Host(), Baseline: base, Current: cur}
-	f, err := os.Create(benchKernelFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchKernelFile)
-	return nil
+	return writeSnapshot(benchKernelFile, &snap)
 }
 
 // benchCommFile is the wire-accounting snapshot the comm experiment writes
@@ -752,18 +763,7 @@ func comm(writeJSON bool) error {
 		return nil
 	}
 	snap := commSnapshot{Experiment: "comm", Host: bench.Host(), Results: results}
-	f, err := os.Create(benchCommFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchCommFile)
-	return nil
+	return writeSnapshot(benchCommFile, &snap)
 }
 
 // benchAdaptFile is the placement-accounting snapshot the adapt experiment
@@ -817,18 +817,7 @@ func adapt(writeJSON bool) error {
 		return nil
 	}
 	snap := adaptSnapshot{Experiment: "adapt", Host: bench.Host(), Results: results}
-	f, err := os.Create(benchAdaptFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchAdaptFile)
-	return nil
+	return writeSnapshot(benchAdaptFile, &snap)
 }
 
 // benchServeFile is the tail-latency snapshot the serve experiment writes
@@ -889,18 +878,7 @@ func serve(writeJSON bool) error {
 	}
 	snap := serveSnapshot{Experiment: "serve", Host: bench.Host(),
 		Static: static, Adaptive: adaptive, ReplayIdentical: replayOK}
-	f, err := os.Create(benchServeFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchServeFile)
-	return nil
+	return writeSnapshot(benchServeFile, &snap)
 }
 
 // benchCkptFile is the checkpoint/restore snapshot the ckpt experiment
@@ -972,18 +950,7 @@ func ckpt(writeJSON bool) error {
 	}
 	snap := ckptSnapshot{Experiment: "ckpt", Host: bench.Host(),
 		Roundtrip: rt, Restart: []bench.CkptRestart{warm, cold}, FastForward: ff}
-	f, err := os.Create(benchCkptFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchCkptFile)
-	return nil
+	return writeSnapshot(benchCkptFile, &snap)
 }
 
 // bisect demonstrates divergence bisection: a deliberate trace perturbation
@@ -1083,18 +1050,7 @@ func tuneExp(writeJSON bool, workload string, opts tune.Options) error {
 		ConfigDigest: rep.ConfigDigest, WorkloadDigest: rep.WorkloadDigest,
 		GridSize: rep.GridSize, Baseline: rep.Baseline, Winner: rep.Winner,
 		Prior: rep.Prior, Cells: rep.Cells}
-	f, err := os.Create(benchTuneFile)
-	if err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&snap); err != nil {
-		return fmt.Errorf("-json: %w", err)
-	}
-	fmt.Printf("wrote %s\n", benchTuneFile)
-	return nil
+	return writeSnapshot(benchTuneFile, &snap)
 }
 
 // contention shows the link occupancy model: concurrent page transfers over
@@ -1213,7 +1169,10 @@ func faults(planPath string, mtbfMS, repairMS float64, seed int64, protos string
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(results)
+		if err := enc.Encode(results); err != nil {
+			return err
+		}
+		return faultFailures(results)
 	}
 	fmt.Printf("%-12s %10s %8s %12s %8s %9s %6s %5s %8s\n",
 		"protocol", "completed", "correct", "elapsed(ms)", "crashes", "restarts", "held", "lost", "retries")
@@ -1230,5 +1189,26 @@ func faults(planPath string, mtbfMS, repairMS float64, seed int64, protos string
 	fmt.Println("(home-based protocols — hbrc_mw, entry_mw — keep committed data on the")
 	fmt.Println(" protected home node 0 and recover exactly; ownership-migrating protocols")
 	fmt.Println(" can lose sole copies that died with their owner, reported under 'lost')")
+	return faultFailures(results)
+}
+
+// faultFailures fails the faults experiment when a protocol's run errored,
+// or answered wrongly without reporting a lost page — a silent wrong answer.
+// A wrong checksum with lost > 0 is the documented cost of an
+// ownership-migrating protocol losing a sole copy, not a failure.
+func faultFailures(results []faultResult) error {
+	var bad []string
+	for _, fr := range results {
+		switch {
+		case fr.Error != "":
+			bad = append(bad, fmt.Sprintf("%s: %s", fr.Protocol, fr.Error))
+		case !fr.Correct && fr.Recovery.Lost == 0:
+			bad = append(bad, fmt.Sprintf("%s: checksum %v, want %v, with no page reported lost",
+				fr.Protocol, fr.Checksum, fr.Expected))
+		}
+	}
+	if len(bad) > 0 {
+		return errors.New(strings.Join(bad, "; "))
+	}
 	return nil
 }

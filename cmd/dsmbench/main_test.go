@@ -164,3 +164,46 @@ func TestTuneSnapshotDeterministic(t *testing.T) {
 		t.Error("warm-cache BENCH_tune.json is not byte-identical to the cold run")
 	}
 }
+
+// TestFaultsExitCode: the faults experiment exits 1 when a protocol's run
+// errors, and 0 when every protocol recovers the serial answer.
+func TestFaultsExitCode(t *testing.T) {
+	ok := []string{"-exp", "faults", "-nodes", "4", "-clusters", "2", "-faultproto", "hbrc_mw,entry_mw", "-json"}
+	if code := realMain(ok); code != 0 {
+		t.Errorf("realMain(%v) = %d, want 0", ok, code)
+	}
+	bad := []string{"-exp", "faults", "-nodes", "4", "-clusters", "2", "-faultproto", "hbrc_mw,bogus", "-json"}
+	if code := realMain(bad); code != 1 {
+		t.Errorf("realMain(%v) = %d, want 1 (a protocol's run errored)", bad, code)
+	}
+}
+
+// TestFaultFailures pins which fault results fail the experiment: errors
+// and wrong answers with no lost page do; a wrong answer the recovery
+// manager accounts for as lost pages does not.
+func TestFaultFailures(t *testing.T) {
+	good := faultResult{Protocol: "hbrc_mw", Completed: true, Correct: true, Checksum: 2, Expected: 2}
+	silent := faultResult{Protocol: "java_ic", Completed: true, Checksum: 1, Expected: 2}
+	lost := silent
+	lost.Protocol = "li_hudak"
+	lost.Recovery.Lost = 3
+	errored := faultResult{Protocol: "bogus", Error: "unknown protocol"}
+	cases := []struct {
+		rows []faultResult
+		want string // substring of the error; empty means no error
+	}{
+		{[]faultResult{good}, ""},
+		{[]faultResult{good, lost}, ""},
+		{[]faultResult{good, silent}, "java_ic: checksum 1, want 2"},
+		{[]faultResult{errored, good}, "bogus: unknown protocol"},
+	}
+	for _, c := range cases {
+		err := faultFailures(c.rows)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("faultFailures(%+v) = %v, want nil", c.rows, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("faultFailures(%+v) = %v, want an error naming %q", c.rows, err, c.want)
+		}
+	}
+}

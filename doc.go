@@ -67,11 +67,14 @@
 //
 // The platform also injects failures: a FaultPlan is a declarative,
 // seed-driven schedule of node crashes/restarts, link partitions/heals and
-// message loss, applied through System.InjectFaults. The network drops or
-// queues faulted traffic, the DSM recovery manager re-homes a dead node's
-// pages from the freshest surviving replica and unwedges in-flight protocol
-// actions, and crash-tolerant barriers (Thread.BarrierAs) let restarted
-// workers rejoin mid-computation. Replays of the same seed and plan are
+// message loss, applied through System.InjectFaults. Events fire one at a
+// time during Run; an event falling after the workload's last thread has
+// finished parks instead of firing, so a plan reaching past the end of the
+// computation never stretches it. The network drops or queues faulted
+// traffic, the DSM recovery manager re-homes a dead node's pages from the
+// freshest surviving replica and unwedges in-flight protocol actions, and
+// crash-tolerant barriers (Thread.BarrierAs) let restarted workers rejoin
+// mid-computation. Replays of the same seed and plan are
 // bit-identical; see examples/faults and DESIGN.md ("Fault model &
 // recovery"). Recovery-mode retry timing is tunable via Config.Recovery
 // (exponential backoff with seeded jitter; the zero value is the historical

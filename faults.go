@@ -60,11 +60,11 @@ var LoadFaultPlan = sim.LoadFaultPlan
 // sparing the protected nodes. Deterministic per seed.
 var GenerateMTBFPlan = sim.GenerateMTBFPlan
 
-// RecoveryTuning is the retry-timing half of fault injection, settable
-// cluster-wide on Config.Recovery (FaultOptions overrides it field-by-field
-// at injection time). All decisions it parameterizes are deterministic: the
-// backoff is a pure function of the attempt number and the jitter comes from
-// a private seeded PRNG, so tuned runs replay bit-identically.
+// RecoveryTuning is the retry-timing half of fault injection, set
+// cluster-wide on Config.Recovery. All decisions it parameterizes are
+// deterministic: the backoff is a pure function of the attempt number and the
+// jitter comes from a private seeded PRNG, so tuned runs replay
+// bit-identically.
 type RecoveryTuning struct {
 	// Timeout bounds blocking protocol waits in recovery mode; zero uses
 	// core.DefaultRecoveryTimeout (5 ms virtual).
@@ -82,61 +82,45 @@ type RecoveryTuning struct {
 	JitterSeed int64
 }
 
-// merged overlays the per-injection options over the cluster-wide tuning:
-// any field set on opts wins.
-func (r RecoveryTuning) merged(opts FaultOptions) RecoveryTuning {
-	if opts.Timeout != 0 {
-		r.Timeout = opts.Timeout
-	}
-	if opts.Backoff != 0 {
-		r.Backoff = opts.Backoff
-	}
-	if opts.RetryMax != 0 {
-		r.RetryMax = opts.RetryMax
-	}
-	if opts.Jitter != 0 {
-		r.Jitter = opts.Jitter
-	}
-	if opts.JitterSeed != 0 {
-		r.JitterSeed = opts.JitterSeed
-	}
-	return r
-}
-
 // FaultOptions tunes fault injection.
 type FaultOptions struct {
 	// Partition selects what happens on partitioned links (default:
 	// PartitionQueue).
 	Partition PartitionPolicy
-	// Timeout bounds blocking protocol waits in recovery mode; zero uses
-	// core.DefaultRecoveryTimeout (5 ms virtual).
-	Timeout Duration
-	// Backoff scales the retry timeout exponentially across consecutive
-	// retries of one protocol action (attempt k waits Timeout·Backoff^k);
-	// values <= 1 keep the historical flat timeout. See
-	// core.RecoveryConfig.Backoff.
-	Backoff float64
-	// RetryMax caps the backed-off timeout; zero means no cap.
-	RetryMax Duration
-	// Jitter adds a deterministic pseudo-random delay in [0, Jitter) to
-	// every bounded wait, de-synchronizing retry storms; zero draws nothing.
-	Jitter Duration
-	// JitterSeed seeds the jitter PRNG (zero means 1).
-	JitterSeed int64
 	// OnRestart runs in engine context after a crashed node's DSM state
 	// has been rebuilt — the hook for respawning the node's workers. It
 	// must not block (spawning threads is fine).
 	OnRestart func(node int)
 }
 
-// enableFaultLayers switches on the network fault layer and the DSM recovery
-// manager (idempotently), the shared half of both injection paths.
-func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
+// InjectFaults arms the system with a fault plan: the network fault layer
+// and the DSM recovery manager switch on, and the plan's events fire at
+// now + event.At. Call it at the point of the simulation the plan's clock
+// should start from (typically after setup phases), and before the Run that
+// should experience the faults. A nil plan is a no-op.
+//
+// Events go through a cursor that keeps only the next un-applied event
+// queued, armed by every Run. An event whose time comes after the last
+// application thread of a Run has finished parks instead of firing: it fires
+// in the next Run that has live threads, or never. So a plan reaching past
+// the workload's end (an MTBF horizon, a late restart) neither applies nor
+// stretches the computation, a chunked run applies each event in the chunk
+// its time falls in, and the cursor's position serializes into a Checkpoint,
+// which may be taken right after InjectFaults.
+//
+// Recovery assumes fail-stop nodes and at least one survivor per page
+// replica set; synchronization managers (lock homes, barrier manager node
+// 0) must be protected nodes — crash them and their state dies for good.
+// Once recovery is on, every barrier stays flat, TreeBarrier or not.
+func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
+	if plan == nil {
+		return nil
+	}
 	if !s.rt.Network().FaultsEnabled() {
-		s.rt.EnableFaults(seed, opts.Partition)
+		s.rt.EnableFaults(plan.Seed, opts.Partition)
 	}
 	if !s.dsm.RecoveryEnabled() {
-		tune := s.cfg.Recovery.merged(opts)
+		tune := s.cfg.Recovery
 		s.dsm.EnableRecovery(core.RecoveryConfig{
 			Timeout:    tune.Timeout,
 			Backoff:    tune.Backoff,
@@ -146,43 +130,9 @@ func (s *System) enableFaultLayers(seed int64, opts FaultOptions) {
 			OnRestart:  opts.OnRestart,
 		})
 	}
-}
-
-// InjectFaults arms the system with a fault plan: the network fault layer
-// and the DSM recovery manager switch on, and every plan event is scheduled
-// at now + event.At. Call it at the point of the simulation the plan's
-// clock should start from (typically after setup phases), and before the
-// Run that should experience the faults.
-//
-// Recovery assumes fail-stop nodes and at least one survivor per page
-// replica set; synchronization managers (lock homes, barrier manager node
-// 0) must be protected nodes — crash them and their state dies for good.
-// Once recovery is on, every barrier stays flat, TreeBarrier or not.
-func (s *System) InjectFaults(plan *FaultPlan, opts FaultOptions) error {
-	if plan == nil {
-		return nil // mirror sim.Engine.InjectFaults: a nil plan is a no-op
-	}
-	s.enableFaultLayers(plan.Seed, opts)
-	s.rt.Engine().InjectFaults(plan, s.applyFault)
-	return nil
-}
-
-// InjectFaultsResumable is InjectFaults through a resumable cursor: instead
-// of scheduling every plan event up front, only the next pending event is
-// armed at a time, and an event whose time falls inside a drained safe point
-// (between two Run chunks of a checkpointing application) parks and fires at
-// the start of the next chunk instead of being swallowed by the drain. This
-// is the injection mode checkpointable runs must use — it is bit-identical
-// to InjectFaults for a single uninterrupted Run — because the cursor's
-// position (unlike a closure queue) serializes into a Checkpoint and resumes.
-func (s *System) InjectFaultsResumable(plan *FaultPlan, opts FaultOptions) error {
-	if plan == nil {
-		return nil
-	}
-	s.enableFaultLayers(plan.Seed, opts)
 	s.faultPlan = plan
 	s.faultOpts = opts
-	// Not armed here: System.Run arms before every phase, and an event queued
+	// Not armed here: Run arms before every phase, and an event queued
 	// outside a Run would spoil the drained safe point a checkpoint needs.
 	s.cursor = s.rt.Engine().NewFaultCursor(plan, s.applyFault)
 	return nil

@@ -7,6 +7,7 @@ package dsmpm2_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dsmpm2"
@@ -101,6 +102,40 @@ func TestFaultyJacobiCorrectAndReplayable(t *testing.T) {
 		if a.Elapsed != b.Elapsed {
 			t.Errorf("[%s] elapsed %d vs %d on replay", proto, a.Elapsed, b.Elapsed)
 		}
+	}
+}
+
+// TestFaultyJacobiIgnoresTrailingEvents: plan events past the computation's
+// end park instead of firing, so a crash/restart pair long after the last
+// sweep neither counts as a fault nor stretches Result.Elapsed — the run is
+// the run without that pair.
+func TestFaultyJacobiIgnoresTrailingEvents(t *testing.T) {
+	run := func(late bool) jacobi.Result {
+		plan := dsmpm2.NewFaultPlan(3)
+		plan.Crash(at(1*dsmpm2.Millisecond), 2).Restart(at(3*dsmpm2.Millisecond), 2)
+		if late {
+			plan.Crash(at(900*dsmpm2.Millisecond), 1).Restart(at(950*dsmpm2.Millisecond), 1)
+		}
+		res, err := jacobi.Run(jacobi.Config{N: 16, Iterations: 6, Nodes: 4,
+			Network: dsmpm2.BIPMyrinet, Protocol: "hbrc_mw", Seed: 3, FaultPlan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	early, late := run(false), run(true)
+	if want := jacobi.SolveSerial(16, 6); late.Checksum != want {
+		t.Errorf("checksum = %v, want %v", late.Checksum, want)
+	}
+	if early.Faults.Crashes != 1 || late.Faults.Crashes != 1 {
+		t.Errorf("crashes = %d without and %d with the trailing pair, want 1 and 1",
+			early.Faults.Crashes, late.Faults.Crashes)
+	}
+	if late.Elapsed != early.Elapsed {
+		t.Errorf("elapsed = %d with the trailing pair, want %d as without it", late.Elapsed, early.Elapsed)
+	}
+	if !reflect.DeepEqual(late.Stats, early.Stats) {
+		t.Errorf("trailing pair changed the DSM stats:\n%+v\n%+v", late.Stats, early.Stats)
 	}
 }
 

@@ -43,10 +43,6 @@ type Config struct {
 	// that writes it — the deliberately bad static placement the adapt
 	// experiment starts from.
 	MisplaceHomes bool
-	// Recovery tunes the retry timing of fault-injected runs (base timeout,
-	// exponential backoff, seeded jitter); forwarded to
-	// dsmpm2.Config.Recovery.
-	Recovery dsmpm2.RecoveryTuning
 	// AdaptiveHomes enables the access-pattern profiler and dynamic home
 	// migration: misplaced rows move onto their writers at barrier epochs.
 	AdaptiveHomes bool
@@ -129,15 +125,16 @@ func checksum(g [][]float64, n int) float64 {
 	return sum
 }
 
-// Run executes the distributed kernel and returns the result.
-func Run(cfg Config) (Result, error) {
+// newSystem validates and defaults cfg in place and builds the platform
+// instance every form of the kernel runs on.
+func newSystem(cfg *Config) (*dsmpm2.System, error) {
 	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return Result{}, fmt.Errorf("jacobi: invalid config %+v", cfg)
+		return nil, fmt.Errorf("jacobi: invalid config %+v", *cfg)
 	}
 	if cfg.CellCost == 0 {
 		cfg.CellCost = 100 // 0.1us per cell
 	}
-	sys, err := dsmpm2.New(dsmpm2.Config{
+	return dsmpm2.New(dsmpm2.Config{
 		Nodes:         cfg.Nodes,
 		Network:       cfg.Network,
 		Topology:      cfg.Topology,
@@ -145,59 +142,132 @@ func Run(cfg Config) (Result, error) {
 		Seed:          cfg.Seed,
 		UnbatchedComm: cfg.Unbatched,
 		AdaptiveHomes: cfg.AdaptiveHomes,
-		Recovery:      cfg.Recovery,
 		TreeBarrier:   cfg.TreeBarrier,
 		Trace:         cfg.Trace,
 	})
+}
+
+// grid is the kernel's shared data and its one copy of the computation: two
+// (N+2) x (N+2) grids in DSM, one allocation per row, rows block-partitioned
+// over the nodes. Run, runRecoverable and Session all compute through it.
+type grid struct {
+	n, nodes, iters int
+	cellCost        dsmpm2.Duration
+	rows            [2][]dsmpm2.Addr
+}
+
+func newGrid(cfg Config) grid {
+	return grid{n: cfg.N, nodes: cfg.Nodes, iters: cfg.Iterations, cellCost: cfg.CellCost}
+}
+
+// ownerOf returns the node that writes row: interior rows are
+// block-partitioned, the fixed top and bottom borders go to the first and
+// last nodes.
+func (g *grid) ownerOf(row int) int {
+	if row == 0 {
+		return 0
+	}
+	if row == g.n+1 {
+		return g.nodes - 1
+	}
+	return (row - 1) * g.nodes / g.n
+}
+
+// alloc allocates both grids. By default every row is homed on, and
+// allocated from, its owner. home0 homes every row on node 0 instead (the
+// reliable-home layout of fault plans, and the adapt experiment's
+// deliberately bad placement); the row is then allocated from node 0 unless
+// fromOwner keeps the owner as the allocating node.
+func (g *grid) alloc(sys *dsmpm2.System, home0, fromOwner bool) {
+	var attr *dsmpm2.Attr
+	if home0 {
+		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
+	}
+	for k := range g.rows {
+		g.rows[k] = make([]dsmpm2.Addr, g.n+2)
+		for row := range g.rows[k] {
+			node := g.ownerOf(row)
+			if home0 && !fromOwner {
+				node = 0
+			}
+			g.rows[k][row] = sys.MustMalloc(node, (g.n+2)*8, attr)
+		}
+	}
+}
+
+// unit performs node's share of one work unit: boundary initialization of
+// both grids for unit 0, Jacobi sweep unit-1 otherwise. Units are idempotent
+// — they recompute the same values from the same committed inputs — which is
+// what makes redoing them after a crash safe.
+func (g *grid) unit(t *dsmpm2.Thread, node, unit int) {
+	n := g.n
+	if unit == 0 {
+		for k := range g.rows {
+			for row := 0; row <= n+1; row++ {
+				if g.ownerOf(row) != node {
+					continue
+				}
+				for j := 0; j <= n+1; j++ {
+					v := boundary(row, j, n)
+					t.WriteUint64(g.rows[k][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
+				}
+			}
+		}
+		return
+	}
+	cur, next := g.rows[(unit-1)%2], g.rows[unit%2]
+	for row := 1; row <= n; row++ {
+		if g.ownerOf(row) != node {
+			continue
+		}
+		up, down, mid, dst := cur[row-1], cur[row+1], cur[row], next[row]
+		for j := 1; j <= n; j++ {
+			a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
+			b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
+			c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
+			d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
+			t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
+		}
+		t.Compute(dsmpm2.Duration(n) * g.cellCost)
+	}
+}
+
+// collect sums the final grid's interior, reading through the DSM from a
+// thread on node 0.
+func (g *grid) collect(sys *dsmpm2.System) (float64, error) {
+	final := g.rows[g.iters%2]
+	sum := 0.0
+	sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
+		for row := 1; row <= g.n; row++ {
+			for j := 1; j <= g.n; j++ {
+				sum += math.Float64frombits(t.ReadUint64(final[row] + dsmpm2.Addr(8*j)))
+			}
+		}
+	})
+	if err := sys.Run(); err != nil {
+		return 0, err
+	}
+	return sum, nil
+}
+
+// Run executes the distributed kernel and returns the result.
+func Run(cfg Config) (Result, error) {
+	sys, err := newSystem(&cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	defer sys.Close()
+	g := newGrid(cfg)
 	if cfg.FaultPlan != nil {
-		return runRecoverable(cfg, sys)
-	}
-	n := cfg.N
-	rowBytes := (n + 2) * 8
-
-	// Two grids, each distributed row-block by row-block so every block is
-	// homed on the node that writes it — unless MisplaceHomes parks
-	// everything on node 0 for the adapt experiment.
-	var attr *dsmpm2.Attr
-	if cfg.MisplaceHomes {
-		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
-	}
-	grids := [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	ownerOf := func(row int) int {
-		if row == 0 {
-			return 0
-		}
-		if row == n+1 {
-			return cfg.Nodes - 1
-		}
-		return (row - 1) * cfg.Nodes / n
-	}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			grids[g][row] = sys.MustMalloc(ownerOf(row), rowBytes, attr)
-		}
+		return runRecoverable(cfg, sys, &g)
 	}
 
-	// Initialize both grids with boundary values from their owner nodes.
+	// Every row is homed on the node that writes it — unless MisplaceHomes
+	// parks everything on node 0 for the adapt experiment.
+	g.alloc(sys, cfg.MisplaceHomes, true)
 	for node := 0; node < cfg.Nodes; node++ {
 		node := node
-		sys.Spawn(node, fmt.Sprintf("init%d", node), func(t *dsmpm2.Thread) {
-			for g := 0; g < 2; g++ {
-				for row := 0; row <= n+1; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					for j := 0; j <= n+1; j++ {
-						v := boundary(row, j, n)
-						t.WriteUint64(grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-					}
-				}
-			}
-		})
+		sys.Spawn(node, fmt.Sprintf("init%d", node), func(t *dsmpm2.Thread) { g.unit(t, node, 0) })
 	}
 	if err := sys.Run(); err != nil {
 		return Result{}, err
@@ -207,26 +277,9 @@ func Run(cfg Config) (Result, error) {
 	for node := 0; node < cfg.Nodes; node++ {
 		node := node
 		sys.Spawn(node, fmt.Sprintf("jacobi%d", node), func(t *dsmpm2.Thread) {
-			cur, next := 0, 1
-			for it := 0; it < cfg.Iterations; it++ {
-				for row := 1; row <= n; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					up, down := grids[cur][row-1], grids[cur][row+1]
-					mid := grids[cur][row]
-					dst := grids[next][row]
-					for j := 1; j <= n; j++ {
-						a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-						b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-						c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-						d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-						t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-					}
-					t.Compute(dsmpm2.Duration(n) * cfg.CellCost)
-				}
+			for unit := 1; unit <= cfg.Iterations; unit++ {
+				g.unit(t, node, unit)
 				t.Barrier(bar)
-				cur, next = next, cur
 			}
 		})
 	}
@@ -234,19 +287,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// Collect the checksum from node 0, reading through the DSM.
-	final := cfg.Iterations % 2
 	res := Result{Elapsed: sys.Now(), Stats: sys.Stats(), System: sys}
-	sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
-		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(grids[final][row] + dsmpm2.Addr(8*j)))
-			}
-		}
-		res.Checksum = sum
-	})
-	if err := sys.Run(); err != nil {
+	if res.Checksum, err = g.collect(sys); err != nil {
 		return Result{}, err
 	}
 	return res, nil
@@ -264,80 +306,27 @@ func Run(cfg Config) (Result, error) {
 //   - before checkpointing a completed unit, the worker flushes its diffs
 //     home (Thread.Flush): the checkpoint never claims work whose
 //     modifications would die with the node. A crash therefore costs at
-//     most one redone unit, and redone units are idempotent — they
-//     recompute the same values from the same committed inputs.
-func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
-	n := cfg.N
-	rowBytes := (n + 2) * 8
-	home0 := &dsmpm2.Attr{Protocol: -1, Home: 0}
-
-	grids := [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	ownerOf := func(row int) int {
-		if row == 0 {
-			return 0
-		}
-		if row == n+1 {
-			return cfg.Nodes - 1
-		}
-		return (row - 1) * cfg.Nodes / n
-	}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			grids[g][row] = sys.MustMalloc(0, rowBytes, home0)
-		}
-	}
+//     most one redone unit.
+func runRecoverable(cfg Config, sys *dsmpm2.System, g *grid) (Result, error) {
+	g.alloc(sys, true, false)
 
 	// lastDone[node] is the node's local checkpoint: the highest work unit
-	// whose modifications are committed at the home. Unit 0 is grid
-	// initialization; unit k is sweep k-1. In a real system this counter
-	// would sit in the node's stable storage.
+	// whose modifications are committed at the home. In a real system this
+	// counter would sit in the node's stable storage.
 	lastDone := make([]int, cfg.Nodes)
 	for i := range lastDone {
 		lastDone[i] = -1
 	}
-	units := cfg.Iterations + 1
 	bar := sys.NewBarrier(cfg.Nodes)
 
 	// finishedAt is the computation's true end: the latest instant a worker
-	// completed its final unit. sys.Now() after Run would instead report
-	// when the event queue drained, which a fault plan with events past the
-	// workload's end (an MTBF horizon, a late heal) inflates arbitrarily.
+	// completed its final unit. Plan events past it park (see
+	// System.InjectFaults), but sys.Now() still reports when the event
+	// queue drained.
 	var finishedAt dsmpm2.Time
 	runWorker := func(t *dsmpm2.Thread, node, startUnit int) {
-		for unit := startUnit; unit < units; unit++ {
-			if unit == 0 {
-				// Init: boundary values into both grids' own rows.
-				for g := 0; g < 2; g++ {
-					for row := 0; row <= n+1; row++ {
-						if ownerOf(row) != node {
-							continue
-						}
-						for j := 0; j <= n+1; j++ {
-							v := boundary(row, j, n)
-							t.WriteUint64(grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-						}
-					}
-				}
-			} else {
-				it := unit - 1
-				cur, next := it%2, (it+1)%2
-				for row := 1; row <= n; row++ {
-					if ownerOf(row) != node {
-						continue
-					}
-					up, down := grids[cur][row-1], grids[cur][row+1]
-					mid := grids[cur][row]
-					dst := grids[next][row]
-					for j := 1; j <= n; j++ {
-						a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-						b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-						c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-						d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-						t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-					}
-					t.Compute(dsmpm2.Duration(n) * cfg.CellCost)
-				}
-			}
+		for unit := startUnit; unit <= cfg.Iterations; unit++ {
+			g.unit(t, node, unit)
 			t.Flush() // commit home before the checkpoint claims the unit
 			lastDone[node] = unit
 			t.BarrierAs(bar, node, unit)
@@ -375,19 +364,10 @@ func runRecoverable(cfg Config, sys *dsmpm2.System) (Result, error) {
 		return Result{}, err
 	}
 
-	final := cfg.Iterations % 2
 	res := Result{Elapsed: finishedAt, Stats: sys.Stats(), System: sys,
 		Faults: sys.FaultStats(), Recovery: sys.RecoveryStats()}
-	sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
-		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(grids[final][row] + dsmpm2.Addr(8*j)))
-			}
-		}
-		res.Checksum = sum
-	})
-	if err := sys.Run(); err != nil {
+	var err error
+	if res.Checksum, err = g.collect(sys); err != nil {
 		return Result{}, err
 	}
 	return res, nil

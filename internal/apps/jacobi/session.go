@@ -3,7 +3,6 @@ package jacobi
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"dsmpm2"
 )
@@ -28,19 +27,17 @@ import (
 // application blob. Chunking perturbs thread ids relative to the monolithic
 // kernel, so chunked runs are compared against chunked runs.
 //
-// With a fault plan, the session injects it through the resumable cursor
+// With a fault plan, the session injects it through System.InjectFaults
 // (events parked across a safe point fire in the next chunk), homes every
 // grid row on protected node 0, and restarted nodes catch up from their
 // last recorded checkpoint — or from scratch when ColdRestart is set, the
 // A/B knob behind the redone-work comparison in `dsmbench -exp ckpt`.
 type Session struct {
-	cfg   Config
-	sys   *dsmpm2.System
-	grids [2][]dsmpm2.Addr
-	bar   int
-	units int
-	step  int   // next step to execute, in [0, Steps()]
-	done  []int // per node: last unit whose phase A committed (-1 none)
+	g    grid
+	sys  *dsmpm2.System
+	bar  int
+	step int   // next step to execute, in [0, Steps()]
+	done []int // per node: last unit whose phase A committed (-1 none)
 
 	// ColdRestart makes restarted nodes ignore the checkpoint registry and
 	// redo every unit from scratch (the baseline the warm path is measured
@@ -81,63 +78,28 @@ type sessionState struct {
 }
 
 // NewSession builds a session over a fresh system: shared grids allocated,
-// barrier created, fault plan (if any) armed through the resumable cursor.
-// No step has run yet.
+// barrier created, fault plan (if any) injected. No step has run yet.
 func NewSession(cfg Config) (*Session, error) {
-	if cfg.N < 2 || cfg.Nodes < 1 || cfg.Iterations < 1 {
-		return nil, fmt.Errorf("jacobi: invalid config %+v", cfg)
-	}
-	if cfg.CellCost == 0 {
-		cfg.CellCost = 100
-	}
-	sys, err := dsmpm2.New(dsmpm2.Config{
-		Nodes:         cfg.Nodes,
-		Network:       cfg.Network,
-		Topology:      cfg.Topology,
-		Protocol:      cfg.Protocol,
-		Seed:          cfg.Seed,
-		UnbatchedComm: cfg.Unbatched,
-		AdaptiveHomes: cfg.AdaptiveHomes,
-		Recovery:      cfg.Recovery,
-		TreeBarrier:   cfg.TreeBarrier,
-	})
+	sys, err := newSystem(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, sys: sys, units: cfg.Iterations + 1,
-		done: make([]int, cfg.Nodes), PerturbStep: -1}
+	s := &Session{g: newGrid(cfg), sys: sys, done: make([]int, cfg.Nodes), PerturbStep: -1}
 	for i := range s.done {
 		s.done[i] = -1
 	}
-	n := cfg.N
-	rowBytes := (n + 2) * 8
-	var attr *dsmpm2.Attr
-	if cfg.FaultPlan != nil || cfg.MisplaceHomes {
-		// Fault plans require the reliable-home layout (all rows on
-		// protected node 0), which is also the adapt experiment's
-		// deliberately bad placement.
-		attr = &dsmpm2.Attr{Protocol: -1, Home: 0}
-	}
-	s.grids = [2][]dsmpm2.Addr{make([]dsmpm2.Addr, n+2), make([]dsmpm2.Addr, n+2)}
-	for g := 0; g < 2; g++ {
-		for row := 0; row <= n+1; row++ {
-			home := s.ownerOf(row)
-			if attr != nil {
-				home = 0
-			}
-			s.grids[g][row] = sys.MustMalloc(home, rowBytes, attr)
-		}
-	}
+	// Fault plans require the reliable-home layout (all rows on protected
+	// node 0), which is also the adapt experiment's deliberately bad
+	// placement.
+	s.g.alloc(sys, cfg.FaultPlan != nil || cfg.MisplaceHomes, false)
 	s.bar = sys.NewBarrier(cfg.Nodes)
 	// Quiesce the platform daemons New spawned: a session sits at a drained
 	// safe point between steps, including before the first.
 	if err := sys.Run(); err != nil {
 		return nil, err
 	}
-	if cfg.FaultPlan != nil {
-		if err := sys.InjectFaultsResumable(cfg.FaultPlan, dsmpm2.FaultOptions{OnRestart: s.onRestart}); err != nil {
-			return nil, err
-		}
+	if err := sys.InjectFaults(cfg.FaultPlan, dsmpm2.FaultOptions{OnRestart: s.onRestart}); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -149,88 +111,41 @@ func (s *Session) System() *dsmpm2.System { return s.sys }
 // and fingerprints stay readable; further steps fail with dsmpm2.ErrClosed.
 func (s *Session) Close() { s.sys.Close() }
 
-// Steps reports the session's total step count: two per work unit.
-func (s *Session) Steps() int { return 2 * s.units }
+// Steps reports the session's total step count: two per work unit (unit 0
+// is grid initialization, unit k is sweep k-1).
+func (s *Session) Steps() int { return 2 * (s.g.iters + 1) }
 
 // StepsDone reports how many steps have completed.
 func (s *Session) StepsDone() int { return s.step }
-
-func (s *Session) ownerOf(row int) int {
-	if row == 0 {
-		return 0
-	}
-	if row == s.cfg.N+1 {
-		return s.cfg.Nodes - 1
-	}
-	return (row - 1) * s.cfg.Nodes / s.cfg.N
-}
-
-// computeUnit performs one node's share of one work unit: boundary
-// initialization for unit 0, one Jacobi sweep otherwise. Units are
-// idempotent — they recompute the same values from the same committed
-// inputs — which is what makes redoing them after a crash safe.
-func (s *Session) computeUnit(t *dsmpm2.Thread, node, unit int) {
-	n := s.cfg.N
-	if unit == 0 {
-		for g := 0; g < 2; g++ {
-			for row := 0; row <= n+1; row++ {
-				if s.ownerOf(row) != node {
-					continue
-				}
-				for j := 0; j <= n+1; j++ {
-					v := boundary(row, j, n)
-					t.WriteUint64(s.grids[g][row]+dsmpm2.Addr(8*j), math.Float64bits(v))
-				}
-			}
-		}
-		return
-	}
-	it := unit - 1
-	cur, next := it%2, (it+1)%2
-	for row := 1; row <= n; row++ {
-		if s.ownerOf(row) != node {
-			continue
-		}
-		up, down := s.grids[cur][row-1], s.grids[cur][row+1]
-		mid := s.grids[cur][row]
-		dst := s.grids[next][row]
-		for j := 1; j <= n; j++ {
-			a := math.Float64frombits(t.ReadUint64(up + dsmpm2.Addr(8*j)))
-			b := math.Float64frombits(t.ReadUint64(down + dsmpm2.Addr(8*j)))
-			c := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j-1))))
-			d := math.Float64frombits(t.ReadUint64(mid + dsmpm2.Addr(8*(j+1))))
-			t.WriteUint64(dst+dsmpm2.Addr(8*j), math.Float64bits(0.25*(a+b+c+d)))
-		}
-		t.Compute(dsmpm2.Duration(n) * s.cfg.CellCost)
-	}
-}
 
 // phaseA is one node's commit half of a unit: compute, flush the diffs home
 // (the checkpoint must never claim work whose modifications would die with
 // the node), then record the local checkpoint.
 func (s *Session) phaseA(t *dsmpm2.Thread, node, unit int) {
-	s.computeUnit(t, node, unit)
+	s.g.unit(t, node, unit)
 	t.Flush()
 	s.sys.RecordCheckpoint(node, unit)
 	s.done[node] = unit
 }
 
-// catchUp replays full units (commit + barrier arrival) from the node's
-// resume point through unit `through`. Arrivals for generations the cluster
-// already completed are absorbed idempotently (BarrierAs).
-func (s *Session) catchUp(t *dsmpm2.Thread, node, through int) {
-	for unit := s.done[node] + 1; unit <= through; unit++ {
-		s.phaseA(t, node, unit)
-		t.BarrierAs(s.bar, node, unit)
+// reach brings node to unit: it replays the full units (commit + barrier
+// arrival) the node is behind on — arrivals for generations the cluster
+// already completed are absorbed idempotently (BarrierAs) — then commits
+// unit unless already done. With arrive it also arrives for unit's barrier
+// generation and, after the final unit, records the computation's end.
+func (s *Session) reach(t *dsmpm2.Thread, node, unit int, arrive bool) {
+	for u := s.done[node] + 1; u < unit; u++ {
+		s.phaseA(t, node, u)
+		t.BarrierAs(s.bar, node, u)
 	}
-}
-
-// noteFinish records a final-unit completion instant.
-func (s *Session) noteFinish(t *dsmpm2.Thread, unit int) {
-	if unit != s.units-1 {
+	if s.done[node] < unit {
+		s.phaseA(t, node, unit)
+	}
+	if !arrive {
 		return
 	}
-	if now := t.Now(); now > s.finishedAt {
+	t.BarrierAs(s.bar, node, unit)
+	if now := t.Now(); unit == s.g.iters && now > s.finishedAt {
 		s.finishedAt = now
 	}
 }
@@ -245,35 +160,21 @@ func (s *Session) Step() error {
 	s.curUnit, s.curPhase = u, ph
 	if s.step == s.PerturbStep {
 		s.sys.Spawn(0, "perturb", func(t *dsmpm2.Thread) {
-			addr := s.grids[0][1] + 8
+			addr := s.g.rows[0][1] + 8
 			t.WriteUint64(addr, t.ReadUint64(addr)) // same value, extra traffic
 			t.Flush()
 		})
 	}
-	for node := 0; node < s.cfg.Nodes; node++ {
+	for node := 0; node < s.g.nodes; node++ {
 		if s.sys.NodeDead(node) {
 			continue // a restart event re-joins it via onRestart
 		}
 		node := node
-		if ph == 0 {
-			s.sys.Spawn(node, fmt.Sprintf("jacobi%d.a%d", node, u), func(t *dsmpm2.Thread) {
-				s.catchUp(t, node, u-1)
-				if s.done[node] < u {
-					s.phaseA(t, node, u)
-				}
-			})
-		} else {
-			s.sys.Spawn(node, fmt.Sprintf("jacobi%d.b%d", node, u), func(t *dsmpm2.Thread) {
-				// A node revived since the last phase-A step may still be
-				// behind; bring it to the frontier before arriving.
-				s.catchUp(t, node, u-1)
-				if s.done[node] < u {
-					s.phaseA(t, node, u)
-				}
-				t.BarrierAs(s.bar, node, u)
-				s.noteFinish(t, u)
-			})
-		}
+		// Phase B also catches up a node revived since the last phase-A
+		// step before it arrives.
+		s.sys.Spawn(node, fmt.Sprintf("jacobi%d.%c%d", node, "ab"[ph], u), func(t *dsmpm2.Thread) {
+			s.reach(t, node, u, ph == 1)
+		})
 	}
 	s.step++
 	return s.sys.Run()
@@ -301,14 +202,7 @@ func (s *Session) onRestart(node int) {
 			// re-arrive for the checkpointed generation (idempotent).
 			t.BarrierAs(s.bar, node, d)
 		}
-		s.catchUp(t, node, target-1)
-		if s.done[node] < target {
-			s.phaseA(t, node, target)
-		}
-		if arrive {
-			t.BarrierAs(s.bar, node, target)
-			s.noteFinish(t, target)
-		}
+		s.reach(t, node, target, arrive)
 	})
 }
 
@@ -327,18 +221,18 @@ func (s *Session) RunToEnd() error {
 // before the first or after the last).
 func (s *Session) Checkpoint() (*dsmpm2.Checkpoint, error) {
 	st := sessionState{
-		N:          s.cfg.N,
-		Iterations: s.cfg.Iterations,
-		CellCost:   s.cfg.CellCost,
+		N:          s.g.n,
+		Iterations: s.g.iters,
+		CellCost:   s.g.cellCost,
 		Step:       s.step,
 		Bar:        s.bar,
 		Done:       append([]int(nil), s.done...),
 		Cold:       s.ColdRestart,
 		FinishedAt: s.finishedAt,
 	}
-	for g := 0; g < 2; g++ {
-		for _, a := range s.grids[g] {
-			st.Grids[g] = append(st.Grids[g], uint64(a))
+	for k, rows := range s.g.rows {
+		for _, a := range rows {
+			st.Grids[k] = append(st.Grids[k], uint64(a))
 		}
 	}
 	blob, err := json.Marshal(st)
@@ -361,8 +255,7 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 		return nil, fmt.Errorf("jacobi: malformed session state in checkpoint")
 	}
 	s := &Session{
-		cfg:         Config{N: st.N, Iterations: st.Iterations, Nodes: nodes, CellCost: st.CellCost},
-		units:       st.Iterations + 1,
+		g:           newGrid(Config{N: st.N, Iterations: st.Iterations, Nodes: nodes, CellCost: st.CellCost}),
 		step:        st.Step,
 		bar:         st.Bar,
 		done:        append([]int(nil), st.Done...),
@@ -375,13 +268,13 @@ func ResumeSession(ck *dsmpm2.Checkpoint) (*Session, error) {
 		return nil, err
 	}
 	s.sys = sys
-	for g := 0; g < 2; g++ {
-		if len(st.Grids[g]) != st.N+2 {
-			return nil, fmt.Errorf("jacobi: session state has %d grid rows, want %d", len(st.Grids[g]), st.N+2)
+	for k, rows := range st.Grids {
+		if len(rows) != st.N+2 {
+			return nil, fmt.Errorf("jacobi: session state has %d grid rows, want %d", len(rows), st.N+2)
 		}
-		s.grids[g] = make([]dsmpm2.Addr, st.N+2)
-		for row, a := range st.Grids[g] {
-			s.grids[g][row] = dsmpm2.Addr(a)
+		s.g.rows[k] = make([]dsmpm2.Addr, st.N+2)
+		for row, a := range rows {
+			s.g.rows[k][row] = dsmpm2.Addr(a)
 		}
 	}
 	return s, nil
@@ -392,20 +285,10 @@ func (s *Session) Result() (Result, error) {
 	if s.step < s.Steps() {
 		return Result{}, fmt.Errorf("jacobi: session has %d steps left", s.Steps()-s.step)
 	}
-	n := s.cfg.N
-	final := s.cfg.Iterations % 2
 	res := Result{Elapsed: s.finishedAt, Stats: s.sys.Stats(), System: s.sys,
 		Faults: s.sys.FaultStats(), Recovery: s.sys.RecoveryStats()}
-	s.sys.Spawn(0, "checksum", func(t *dsmpm2.Thread) {
-		sum := 0.0
-		for row := 1; row <= n; row++ {
-			for j := 1; j <= n; j++ {
-				sum += math.Float64frombits(t.ReadUint64(s.grids[final][row] + dsmpm2.Addr(8*j)))
-			}
-		}
-		res.Checksum = sum
-	})
-	if err := s.sys.Run(); err != nil {
+	var err error
+	if res.Checksum, err = s.g.collect(s.sys); err != nil {
 		return Result{}, err
 	}
 	return res, nil

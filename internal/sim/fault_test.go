@@ -6,7 +6,8 @@ import (
 )
 
 // TestFaultPlanCanonicalOrder: plans containing the same events in any
-// insertion order schedule identically.
+// insertion order fire identically through the cursor. A proc stays live past
+// the last event: with none, the cursor parks every event and nothing fires.
 func TestFaultPlanCanonicalOrder(t *testing.T) {
 	a := (&FaultPlan{Seed: 1}).Crash(10, 2).Restart(20, 2).Partition(10, 0, 1)
 	b := &FaultPlan{Seed: 1}
@@ -16,15 +17,28 @@ func TestFaultPlanCanonicalOrder(t *testing.T) {
 	fire := func(p *FaultPlan) []FaultEvent {
 		eng := NewEngine(1)
 		var got []FaultEvent
-		eng.InjectFaults(p, func(ev FaultEvent) { got = append(got, ev) })
+		eng.NewFaultCursor(p, func(ev FaultEvent) { got = append(got, ev) }).Arm()
+		eng.Go("live", func(p *Proc) { p.Advance(30) })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
 	ga, gb := fire(a), fire(b)
-	if len(ga) != len(gb) {
-		t.Fatalf("event counts differ: %d vs %d", len(ga), len(gb))
+	if len(ga) != 4 || len(gb) != 4 {
+		t.Fatalf("fired %d and %d events, want all 4 of each plan", len(ga), len(gb))
+	}
+	// Canonical order: time, then kind (crash before partition), then link.
+	want := []FaultEvent{
+		{At: 10, Kind: FaultNodeCrash, Node: 2},
+		{At: 10, Kind: FaultLinkPartition, From: 0, To: 1},
+		{At: 10, Kind: FaultLinkPartition, From: 1, To: 0},
+		{At: 20, Kind: FaultNodeRestart, Node: 2},
+	}
+	for i := range want {
+		if ga[i] != want[i] {
+			t.Fatalf("event %d: fired %+v, want %+v", i, ga[i], want[i])
+		}
 	}
 	for i := range ga {
 		if ga[i] != gb[i] {

@@ -164,20 +164,19 @@ func (e *Engine) Restore(s Snapshot) error {
 // source since creation (or the last reseed).
 func (e *Engine) RNGDraws() uint64 { return e.rngSrc.draws }
 
-// FaultCursor injects a fault plan one event at a time, instead of
-// scheduling the whole plan up front the way InjectFaults does. Only the
-// next un-applied event is ever in the queue, which keeps two properties the
-// checkpoint subsystem needs:
+// FaultCursor injects a fault plan one event at a time: only the next
+// un-applied event is ever in the queue. That gives the plan two properties:
 //
 //   - The cursor's position is two scalars (next index, injection base), so
 //     a snapshot can record "mid-plan" exactly and a restored run re-arms
 //     from the same place.
-//   - Run always drains the queue, including future-dated events. Under
-//     chunked execution (many short Run phases), an up-front injection
-//     would collapse the entire plan into the first chunk. The cursor
-//     instead parks when an event fires after all application procs have
+//   - Run always drains the queue, including future-dated events, so the
+//     cursor parks when an event fires after all application procs have
 //     finished — the fault is NOT applied, and the next Arm re-schedules it
-//     so it lands in the first chunk that actually has live work.
+//     so it lands in the first Run phase that actually has live work. Plan
+//     events past the workload's end therefore never apply, and under
+//     chunked execution (many short Run phases) the plan does not collapse
+//     into the first chunk.
 //
 // Arm must be called before each Run phase (the dsmpm2 facade does this in
 // System.Run). All of this is deterministic: the parked fire and the re-arm
